@@ -20,7 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding_store import EmbeddingSet, WordPartition, nearest_neighbors
+from .embedding_store import (
+    EmbeddingSet,
+    LineSource,
+    WordPartition,
+    _lines,
+    nearest_neighbors,
+)
 from .errors import InputError, ParseError
 from .matrix_core import (
     cosine_similarity,
@@ -42,7 +48,6 @@ class BiasedWordLists:
 
     male_biased: tuple[str, ...]
     female_biased: tuple[str, ...]
-    source: str = ""  # tag of the embedding the lists were computed on
 
     def __post_init__(self):
         if set(self.male_biased) & set(self.female_biased):
@@ -150,7 +155,6 @@ def select_biased_words(
     embeddings: EmbeddingSet,
     part: WordPartition,
     n_per_gender: int,
-    source: str = "",
 ) -> BiasedWordLists:
     """Pick the n most male- and n most female-biased non-definition words.
 
@@ -181,7 +185,6 @@ def select_biased_words(
     return BiasedWordLists(
         male_biased=tuple(embeddings.words[i] for i in male_idx[male_order[:n_per_gender]]),
         female_biased=tuple(embeddings.words[i] for i in female_idx[female_order[:n_per_gender]]),
-        source=source,
     )
 
 
@@ -385,7 +388,7 @@ def gbwr_classification(
     return float(np.mean(predictions == test_labels))
 
 
-def load_sembias(source: Iterable[str]) -> list[SemBiasInstance]:
+def load_sembias(source: LineSource) -> list[SemBiasInstance]:
     """Parse the definition-pair selection dataset.
 
     Each line holds four tab-separated fields "wordA wordB tag" with tag in
@@ -393,7 +396,7 @@ def load_sembias(source: Iterable[str]) -> list[SemBiasInstance]:
     instance as part of the held-out subset. '#' lines are ignored.
     """
     instances = []
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(_lines(source), start=1):
         line = line.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -425,11 +428,11 @@ def load_sembias(source: Iterable[str]) -> list[SemBiasInstance]:
 _WEAT_SECTIONS = ("targets_x", "targets_y", "attributes_a", "attributes_b")
 
 
-def load_weat_spec(source: Iterable[str], name: str = "") -> WeatSpec:
+def load_weat_spec(source: LineSource, name: str = "") -> WeatSpec:
     """Parse a WEAT spec file: [section] headers with one token per line."""
     sections: dict[str, list[str]] = {key: [] for key in _WEAT_SECTIONS}
     current: str | None = None
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(_lines(source), start=1):
         token = line.strip()
         if not token or token.startswith("#"):
             continue

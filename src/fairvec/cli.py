@@ -13,8 +13,8 @@ seed+100+i). Output files are written atomically via a temp file and rename.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import io
 import json
 import os
 import sys
@@ -43,17 +43,37 @@ def _file_record(path: str) -> dict:
     return {"path": path, "sha256": _sha256(path)}
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _umask() -> int:
+    # The umask can only be read by setting it; restore it at once.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Text handle on a temp file that replaces `path` when the block exits.
+
+    The file gets the mode a plain open() would give it (0666 less the
+    umask), not mkstemp's 0600. On error the temp file is removed and `path`
+    is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_output(path) as handle:
+        handle.write(text)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -165,9 +185,8 @@ def cmd_debias(args: argparse.Namespace) -> int:
     else:
         result = hard_debias(embeddings, config)
 
-    buffer = io.StringIO()
-    save_embeddings(result.embeddings, buffer)
-    _atomic_write(args.out, buffer.getvalue())
+    with _atomic_output(args.out) as handle:
+        save_embeddings(result.embeddings, handle)
     sidecar = {
         "method": result.method,
         "alpha": args.alpha,
@@ -196,9 +215,7 @@ def _eval_direction(args, embeddings, original, report: BiasReport) -> None:
             report.errors[name] = str(exc)
 
     def projection_bias():
-        lists = bias_metrics.select_biased_words(
-            original, part, args.top_biased, source=_sha256(args.original_embeddings)
-        )
+        lists = bias_metrics.select_biased_words(original, part, args.top_biased)
         return bias_metrics.mean_abs_projection_bias(
             embeddings, lists, normalized=args.normalized_projection
         )
@@ -239,9 +256,7 @@ def _eval_relation(args, embeddings, original, report: BiasReport) -> None:
 
     lists = None
     try:
-        lists = bias_metrics.select_biased_words(
-            original, part, args.top_biased, source=_sha256(args.original_embeddings)
-        )
+        lists = bias_metrics.select_biased_words(original, part, args.top_biased)
     except FairvecError as exc:
         for name in ("gbwr_purity", "gbwr_correlation", "gbwr_profession"):
             if name != "gbwr_profession" or args.professions:

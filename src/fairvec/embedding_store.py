@@ -3,17 +3,33 @@
 File format: one entry per line, "token v1 ... vd", single-space separated,
 UTF-8, LF line endings, no header. Word-list files carry one token per line
 with "#" comment lines ignored.
+
+Every loader in the package reads its source through `_lines`: a path (str
+or os.PathLike), opened as UTF-8, or an iterable of lines such as an open
+text file.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
 from .matrix_core import ZERO_NORM_EPS
+
+LineSource = Union[str, os.PathLike, Iterable[str]]
+
+
+def _lines(source: LineSource) -> Iterator[str]:
+    """Yield the lines of a file path or of an iterable of lines."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as handle:
+            yield from handle
+    else:
+        yield from source
 
 
 @dataclass(frozen=True)
@@ -75,13 +91,13 @@ class WordPartition:
     missing: int = 0  # list tokens that were not in the vocabulary
 
 
-def load_embeddings(source: Iterable[str], max_words: int | None = None) -> EmbeddingSet:
-    """Parse an embedding text stream; dimension is inferred from the first line."""
+def load_embeddings(source: LineSource, max_words: int | None = None) -> EmbeddingSet:
+    """Parse an embedding file or text stream; dimension is inferred from the first line."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(_lines(source), start=1):
         if max_words is not None and len(words) >= max_words:
             break
         parts = line.rstrip("\r\n").split(" ")
@@ -117,18 +133,17 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     Values are printed with 17 significant digits, enough to reconstruct each
     float64 exactly, so load(save(x)) is bit-identical.
     """
-    for word, row in zip(embeddings.words, embeddings.vectors):
-        sink.write(word)
-        for v in row:
-            sink.write(" ")
-            sink.write(format(v, ".17g"))
-        sink.write("\n")
+    row_format = "%s" + " %.17g" * embeddings.dim + "\n"
+    sink.writelines(
+        row_format % (word, *row)
+        for word, row in zip(embeddings.words, embeddings.vectors.tolist())
+    )
 
 
-def load_word_list(source: Iterable[str]) -> list[str]:
+def load_word_list(source: LineSource) -> list[str]:
     """One token per line; blank lines and '#' comment lines are ignored."""
     tokens = []
-    for line in source:
+    for line in _lines(source):
         token = line.strip()
         if not token or token.startswith("#"):
             continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError, UndefinedCorrelationError
 
@@ -38,9 +37,11 @@ def _as_matrix(x, name: str) -> np.ndarray:
 def solve_ridge(a, b, alpha: float) -> RidgeSolution:
     """Solve min_W ||B - AW||_F^2 + alpha ||W||_F^2 in closed form.
 
-    Forms the normal equations (A^T A + alpha I) W = A^T B and solves the
-    m x m system with a Cholesky factorization; alpha > 0 guarantees the
-    matrix is positive definite.
+    Forms the normal matrix A^T A + alpha I and factors it by Cholesky;
+    alpha > 0 guarantees the matrix is positive definite. Solving the factor
+    against A^T gives the m x d map (A^T A + alpha I)^-1 A^T, so the
+    triangular solves cost d right-hand sides rather than one per column of
+    B; a single product with B then yields the m x n weights.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -55,15 +56,15 @@ def solve_ridge(a, b, alpha: float) -> RidgeSolution:
     gram = a.T @ a
     if alpha > 0:
         gram = gram + alpha * np.eye(a.shape[1])
-    rhs = a.T @ b
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             "normal-equation matrix A^T A + alpha I is not positive definite "
             f"(singular A^T A with alpha={alpha}): {exc}"
         ) from exc
-    weights = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    regularized_pinv = np.linalg.solve(lower.T, np.linalg.solve(lower, a.T))
+    weights = regularized_pinv @ b
     return RidgeSolution(weights=weights, alpha=alpha)
 
 
@@ -172,8 +173,10 @@ def _lloyd(
     centers = centers.copy()
     history: list[float] = []
     assignments = np.zeros(points.shape[0], dtype=np.int64)
+    # Distances to the current centers; each iteration's post-update
+    # distances serve the next iteration's assignment step.
+    d2 = _squared_distances(points, centers)
     for _ in range(max_iter):
-        d2 = _squared_distances(points, centers)
         assignments = np.argmin(d2, axis=1)
 
         # A cluster left without members keeps its stale center: degenerate

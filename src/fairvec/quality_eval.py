@@ -8,11 +8,11 @@ vectors (Pearson, reported x100).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .embedding_store import EmbeddingSet
+from .embedding_store import EmbeddingSet, LineSource, _lines
 from .errors import InputError, ParseError
 from .matrix_core import cosine_similarity, pearson, spearman
 
@@ -117,15 +117,15 @@ def yearly_average(results: Sequence[tuple[str, float]]) -> dict[str, float]:
     return {key: float(np.mean(values)) for key, values in groups.items()}
 
 
-def _data_lines(source: Iterable[str]):
-    for lineno, line in enumerate(source, start=1):
+def _data_lines(source: LineSource):
+    for lineno, line in enumerate(_lines(source), start=1):
         line = line.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         yield lineno, line
 
 
-def load_word_pairs(source: Iterable[str], name: str) -> WordPairDataset:
+def load_word_pairs(source: LineSource, name: str) -> WordPairDataset:
     """Parse "word1 TAB word2 TAB score" lines; '#' comments are ignored."""
     entries = []
     for lineno, line in _data_lines(source):
@@ -144,7 +144,7 @@ def load_word_pairs(source: Iterable[str], name: str) -> WordPairDataset:
     return WordPairDataset(name=name, entries=tuple(entries))
 
 
-def load_sentence_pairs(source: Iterable[str], name: str) -> SentencePairDataset:
+def load_sentence_pairs(source: LineSource, name: str) -> SentencePairDataset:
     """Parse "sentence1 TAB sentence2 TAB score" lines.
 
     Sentences are lowercased and whitespace-tokenized here; the dataset

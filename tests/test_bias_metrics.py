@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,6 +582,27 @@ class TestLoaders:
         )
         spec = load_weat_spec(io.StringIO(text))
         assert spec.name == "flowers-vs-insects"
+        assert spec.targets_x == ("rose", "tulip")
+        assert spec.attributes_b == ("awful",)
+
+    @pytest.mark.parametrize("as_path", [str, Path])
+    def test_path_sources(self, tmp_path, as_path):
+        sembias = tmp_path / "sembias.txt"
+        sembias.write_text(
+            "king queen definition\tdoctor nurse biased\tcat dog other\tup down other\n",
+            encoding="utf-8",
+        )
+        instances = load_sembias(as_path(sembias))
+        assert len(instances) == 1
+        assert instances[0].definition_index() == 0
+        weat = tmp_path / "weat.txt"
+        weat.write_text(
+            "name: toy\n[targets_x]\nrose\ntulip\n[targets_y]\nant\nwasp\n"
+            "[attributes_a]\nlovely\n[attributes_b]\nawful\n",
+            encoding="utf-8",
+        )
+        spec = load_weat_spec(as_path(weat))
+        assert spec.name == "toy"
         assert spec.targets_x == ("rose", "tulip")
         assert spec.attributes_b == ("awful",)
 

@@ -5,10 +5,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairvec
 from conftest import build_planted, write_embedding_file
 from fairvec import (
     bias_by_projection,
@@ -169,6 +175,22 @@ class TestDebiasCommand:
                 "--gender-list", workdir["gender"], "--out", str(out),
             ])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_mode_follows_umask(self, workdir, umask, mode):
+        out = workdir["dir"] / "moded.txt"
+        previous = os.umask(umask)
+        try:
+            code = main([
+                "debias", "--embeddings", workdir["emb"],
+                "--gender-list", workdir["gender"], "--out", str(out),
+            ])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for path in (out, Path(str(out) + ".meta.json")):
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert not [p.name for p in workdir["dir"].iterdir() if p.name.startswith(".tmp-")]
 
 
 class TestEvalCommand:
@@ -403,3 +425,14 @@ class TestCompareCommand:
         self.make_report(path, "m1", {})
         with pytest.raises(SystemExit):
             main(["compare", str(path)])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only as a test oracle; no fairvec process should pay its import.
+    src = str(Path(fairvec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, fairvec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

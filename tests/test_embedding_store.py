@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ class TestLoad:
         embeddings = load_text("z 1.0\ny 2.0\nx 3.0\n")
         assert embeddings.words == ("z", "y", "x")
 
+    @pytest.mark.parametrize("as_path", [str, Path])
+    def test_path_source(self, tmp_path, as_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1.0 0.0\nb 0.0 1.0\nc 2.0 2.0\n", encoding="utf-8")
+        embeddings = load_embeddings(as_path(path))
+        assert embeddings.words == ("a", "b", "c")
+        assert np.array_equal(embeddings.vector("c"), [2.0, 2.0])
+        assert load_embeddings(as_path(path), max_words=2).words == ("a", "b")
+
 
 class TestSave:
     def test_round_trip(self):
@@ -99,6 +109,31 @@ class TestSave:
         save_embeddings(embeddings, second)
         assert first.getvalue() == second.getvalue()
 
+    def test_bytes_match_per_value_format(self):
+        # Reference: every value printed on its own with format(v, ".17g").
+        rng = np.random.default_rng(8)
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+                1.7976931348623157e308, 0.1, 1.0, -123456789.125]
+        bits = rng.integers(0, 2**64, size=600, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            edge,
+            bits[np.isfinite(bits)][:480],
+            rng.normal(size=480) * 10.0 ** rng.integers(-12, 12, size=480),
+        ])
+        dim = 5
+        values = values[: values.size // dim * dim].reshape(-1, dim)
+        embeddings = EmbeddingSet(
+            words=tuple(f"w{i}" for i in range(values.shape[0])), vectors=values
+        )
+        expected = "".join(
+            word + "".join(" " + format(v, ".17g") for v in row) + "\n"
+            for word, row in zip(embeddings.words, embeddings.vectors)
+        )
+        sink = io.StringIO()
+        save_embeddings(embeddings, sink)
+        assert sink.getvalue().encode("utf-8") == expected.encode("utf-8")
+
 
 class TestEmbeddingSet:
     def test_duplicate_words_rejected(self):
@@ -128,6 +163,12 @@ class TestWordList:
     def test_comments_and_blanks_skipped(self):
         text = "# comment\nhe\n\n  she  \n# another\nman\n"
         assert load_word_list(io.StringIO(text)) == ["he", "she", "man"]
+
+    @pytest.mark.parametrize("as_path", [str, Path])
+    def test_path_source(self, tmp_path, as_path):
+        path = tmp_path / "gender.txt"
+        path.write_text("# comment\nhe\nshe\n", encoding="utf-8")
+        assert load_word_list(as_path(path)) == ["he", "she"]
 
 
 class TestPartition:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,16 @@ class TestLoaders:
     def test_sentence_pairs_bad_score(self):
         with pytest.raises(ParseError, match="line 1"):
             load_sentence_pairs(io.StringIO("a b\tc d\tmaybe\n"), "sts")
+
+    @pytest.mark.parametrize("as_path", [str, Path])
+    def test_path_sources(self, tmp_path, as_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# header\nking\tqueen\t8.5\n", encoding="utf-8")
+        assert load_word_pairs(as_path(pairs), "toy").entries == (("king", "queen", 8.5),)
+        sentences = tmp_path / "sents.tsv"
+        sentences.write_text("The Big Cat\ta dog\t3.5\n", encoding="utf-8")
+        data = load_sentence_pairs(as_path(sentences), "sts")
+        assert data.entries == ((("the", "big", "cat"), ("a", "dog"), 3.5),)
 
     def test_dataset_validation(self):
         with pytest.raises(InputError):

@@ -1,5 +1,7 @@
 """Gender debiasing for word embeddings, with bias and quality diagnostics."""
 
+from types import ModuleType as _ModuleType
+
 from .bias_metrics import (
     BiasedWordLists,
     BiasReport,
@@ -35,6 +37,7 @@ from .embedding_store import (
     nearest_neighbors,
     partition,
     save_embeddings,
+    top_k_neighbors,
 )
 from .errors import (
     ConfigError,
@@ -68,58 +71,9 @@ from .quality_eval import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasReport",
-    "BiasedWordLists",
-    "ConfigError",
-    "DEFAULT_ALPHA",
-    "DebiasResult",
-    "EmbeddingSet",
-    "FairvecError",
-    "HsrConfig",
-    "InputError",
-    "LinearClassifier",
-    "NumericalError",
-    "ParseError",
-    "RidgeSolution",
-    "SemBiasInstance",
-    "SentencePairDataset",
-    "UndefinedCorrelationError",
-    "WeatSpec",
-    "WordPairDataset",
-    "WordPartition",
-    "approximate_gender_info",
-    "bias_by_neighbors",
-    "bias_by_projection",
-    "cosine_similarity",
-    "gbwr_classification",
-    "gbwr_clustering",
-    "gbwr_correlation",
-    "gbwr_profession",
-    "gender_direction",
-    "hard_debias",
-    "hsr_debias",
-    "kmeans",
-    "load_embeddings",
-    "load_sembias",
-    "load_sentence_pairs",
-    "load_weat_spec",
-    "load_word_list",
-    "load_word_pairs",
-    "mean_abs_projection_bias",
-    "nearest_neighbors",
-    "partition",
-    "pearson",
-    "purity",
-    "save_embeddings",
-    "select_biased_words",
-    "sembias_eval",
-    "sentence_embedding",
-    "solve_ridge",
-    "spearman",
-    "sts_eval",
-    "train_linear_classifier",
-    "weat_test",
-    "word_similarity_eval",
-    "yearly_average",
-]
+# The public API is every name imported above; listing it again would be a
+# second copy to keep in step.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -25,10 +25,12 @@ from .embedding_store import (
     LineSource,
     WordPartition,
     _lines,
-    nearest_neighbors,
+    top_k_neighbors,
 )
 from .errors import InputError, ParseError
 from .matrix_core import (
+    cosine_matrix,
+    cosine_rows,
     cosine_similarity,
     kmeans,
     pearson,
@@ -119,6 +121,11 @@ class BiasReport:
         }
 
 
+def _rows(embeddings: EmbeddingSet, words: Iterable[str]) -> np.ndarray:
+    """Vectors of the words, in order; raises on an out-of-vocabulary word."""
+    return embeddings.vectors[[embeddings.index(w) for w in words]]
+
+
 def gender_direction(embeddings: EmbeddingSet) -> np.ndarray:
     """The vector he - she; raises if either token is missing."""
     return embeddings.vector("he") - embeddings.vector("she")
@@ -199,37 +206,43 @@ def sembias_eval(
     (accuracy, used, skipped).
     """
     direction = gender_direction(embeddings)
-    used = 0
-    skipped = 0
-    correct = 0
-    for instance in instances:
-        tokens = [w for pair in instance.pairs for w in pair[:2]]
-        if any(w not in embeddings for w in tokens):
-            skipped += 1
-            continue
-        sims = [
-            cosine_similarity(embeddings.vector(a) - embeddings.vector(b), direction)
-            for a, b, _ in instance.pairs
-        ]
-        prediction = int(np.argmax(sims))
-        correct += prediction == instance.definition_index()
-        used += 1
-    if used == 0:
+    usable = [
+        instance for instance in instances
+        if all(w in embeddings for pair in instance.pairs for w in pair[:2])
+    ]
+    if not usable:
         raise InputError("no usable instance (all contained out-of-vocabulary tokens)")
-    return correct / used, used, skipped
+    pairs = [pair for instance in usable for pair in instance.pairs]
+    sims = cosine_rows(_rows(embeddings, [a for a, _, _ in pairs])
+                       - _rows(embeddings, [b for _, b, _ in pairs]), direction)
+    bounds = np.cumsum([len(instance.pairs) for instance in usable])[:-1]
+    correct = sum(
+        int(np.argmax(scores)) == instance.definition_index()
+        for scores, instance in zip(np.split(sims, bounds), usable)
+    )
+    return correct / len(usable), len(usable), len(instances) - len(usable)
 
 
 def gbwr_clustering(embeddings: EmbeddingSet, lists: BiasedWordLists, seed: int) -> float:
     """k-means (k=2) the listed words; purity against their list membership."""
-    words = lists.all_words()
-    points = embeddings.vectors[[embeddings.index(w) for w in words]]
+    points = _rows(embeddings, lists.all_words())
     labels = np.array([1] * len(lists.male_biased) + [0] * len(lists.female_biased))
     assignments = kmeans(points, 2, seed)
     return purity(assignments, labels)
 
 
-def _pool_indices(embeddings: EmbeddingSet, lists: BiasedWordLists) -> np.ndarray:
-    return np.asarray([embeddings.index(w) for w in lists.all_words()], dtype=np.int64)
+def _male_neighbor_counts(
+    embeddings: EmbeddingSet, queries: Sequence[int], lists: BiasedWordLists, k: int
+) -> np.ndarray:
+    """Male-list words among each query's k nearest pool members.
+
+    The pool is the union of both biased lists; one similarity matrix from
+    the queries to the pool ranks them all.
+    """
+    pool = np.asarray([embeddings.index(w) for w in lists.all_words()], dtype=np.int64)
+    male = np.zeros(len(embeddings), dtype=bool)
+    male[pool[: len(lists.male_biased)]] = True
+    return male[top_k_neighbors(embeddings, queries, k, pool)].sum(axis=1)
 
 
 def bias_by_neighbors(
@@ -244,10 +257,7 @@ def bias_by_neighbors(
     itself; neighbors are ranked by cosine similarity.
     """
     query = embeddings.index(word)
-    pool = _pool_indices(embeddings, lists)
-    neighbors = nearest_neighbors(embeddings, query, k, pool)
-    male = {embeddings.index(w) for w in lists.male_biased}
-    return sum(i in male for i in neighbors) / k
+    return float(_male_neighbor_counts(embeddings, [query], lists, k)[0] / k)
 
 
 def gbwr_correlation(
@@ -264,8 +274,8 @@ def gbwr_correlation(
     """
     words = lists.all_words()
     projections = [bias_by_projection(original, w, normalized) for w in words]
-    neighbor_bias = [bias_by_neighbors(embeddings, w, lists, k) for w in words]
-    return pearson(projections, neighbor_bias)
+    queries = [embeddings.index(w) for w in words]
+    return pearson(projections, _male_neighbor_counts(embeddings, queries, lists, k) / k)
 
 
 def gbwr_profession(
@@ -283,15 +293,12 @@ def gbwr_profession(
     with the original-embedding projection bias. Returns the Pearson
     coefficient and (word, male_count, original_bias) rows for plotting.
     """
-    male = set(lists.male_biased)
-    pool = _pool_indices(embeddings, lists)
-    points: list[tuple[str, int, float]] = []
-    for word in professions:
-        if word not in embeddings or word not in original:
-            continue
-        neighbors = nearest_neighbors(embeddings, embeddings.index(word), k, pool)
-        count = sum(embeddings.words[i] in male for i in neighbors)
-        points.append((word, count, bias_by_projection(original, word, normalized)))
+    words = [w for w in professions if w in embeddings and w in original]
+    counts = _male_neighbor_counts(embeddings, [embeddings.index(w) for w in words], lists, k)
+    points = [
+        (word, int(count), bias_by_projection(original, word, normalized))
+        for word, count in zip(words, counts)
+    ]
     if len(points) < 2:
         raise InputError("fewer than 2 professions are present in the vocabulary")
     correlation = pearson([p[2] for p in points], [p[1] for p in points])
@@ -313,45 +320,29 @@ def weat_test(
     the partition count fits exact_limit, otherwise seeded sampling with the
     observed partition included, so p is always in (0, 1].
     """
-    for word in itertools.chain(
-        spec.targets_x, spec.targets_y, spec.attributes_a, spec.attributes_b
-    ):
-        if word not in embeddings:
-            raise InputError(f"token {word!r} not in vocabulary")
-
-    a_vecs = [embeddings.vector(w) for w in spec.attributes_a]
-    b_vecs = [embeddings.vector(w) for w in spec.attributes_b]
-
-    def association(word: str) -> float:
-        v = embeddings.vector(word)
-        mean_a = np.mean([cosine_similarity(v, a) for a in a_vecs])
-        mean_b = np.mean([cosine_similarity(v, b) for b in b_vecs])
-        return float(mean_a - mean_b)
-
-    s = np.array([association(w) for w in spec.targets_x + spec.targets_y])
+    targets = _rows(embeddings, spec.targets_x + spec.targets_y)
+    s = (cosine_matrix(targets, _rows(embeddings, spec.attributes_a)).mean(axis=1)
+         - cosine_matrix(targets, _rows(embeddings, spec.attributes_b)).mean(axis=1))
     nx = len(spec.targets_x)
     total = 2 * nx
-    statistic = float(np.sum(s[:nx]) - np.sum(s[nx:]))
 
-    def subset_statistic(idx: np.ndarray) -> float:
-        comp = np.setdiff1d(np.arange(total), idx, assume_unique=True)
-        return float(np.sum(s[idx]) - np.sum(s[comp]))
-
+    # Row 0 of `chosen` is the observed partition (X), so the reported
+    # statistic and every permuted one come from the same expression.
     n_partitions = comb(total, nx)
     if n_partitions <= exact_limit:
-        count = 0
-        for combo in itertools.combinations(range(total), nx):
-            if subset_statistic(np.asarray(combo)) >= statistic:
-                count += 1
-        p_value = count / n_partitions
+        chosen = np.array(list(itertools.combinations(range(total), nx)))
     else:
-        rng = np.random.default_rng(seed)
-        count = 1  # the observed partition itself
-        for _ in range(WEAT_SAMPLES):
-            perm = rng.permutation(total)
-            if subset_statistic(np.sort(perm[:nx])) >= statistic:
-                count += 1
-        p_value = count / (WEAT_SAMPLES + 1)
+        # one row per draw, the same stream as WEAT_SAMPLES rng.permutation calls
+        draws = np.random.default_rng(seed).permuted(
+            np.tile(np.arange(total), (WEAT_SAMPLES, 1)), axis=1
+        )
+        chosen = np.vstack([np.arange(nx), np.sort(draws[:, :nx], axis=1)])
+    in_x = np.zeros((chosen.shape[0], total), dtype=bool)
+    np.put_along_axis(in_x, chosen, True, axis=1)
+    rest = np.nonzero(~in_x)[1].reshape(chosen.shape[0], total - nx)
+    statistics = s[chosen].sum(axis=1) - s[rest].sum(axis=1)
+    statistic = float(statistics[0])
+    p_value = int(np.count_nonzero(statistics >= statistic)) / statistics.size
     return statistic, p_value
 
 
@@ -373,18 +364,14 @@ def gbwr_classification(
     if not 1 <= train_per_gender < n_per_gender:
         raise InputError("need 1 <= train_per_gender < n_per_gender")
     lists = select_biased_words(original, part, n_per_gender)
-
-    def vectors(words: Iterable[str]) -> np.ndarray:
-        return embeddings.vectors[[embeddings.index(w) for w in words]]
-
     train_words = lists.male_biased[:train_per_gender] + lists.female_biased[:train_per_gender]
     test_words = lists.male_biased[train_per_gender:] + lists.female_biased[train_per_gender:]
     train_labels = np.array([1] * train_per_gender + [0] * train_per_gender)
     test_labels = np.array(
         [1] * (n_per_gender - train_per_gender) + [0] * (n_per_gender - train_per_gender)
     )
-    model = train_linear_classifier(vectors(train_words), train_labels, seed)
-    predictions = model.predict(vectors(test_words))
+    model = train_linear_classifier(_rows(embeddings, train_words), train_labels, seed)
+    predictions = model.predict(_rows(embeddings, test_words))
     return float(np.mean(predictions == test_labels))
 
 

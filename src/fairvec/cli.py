@@ -203,17 +203,7 @@ def cmd_debias(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_direction(args, embeddings, original, report: BiasReport) -> None:
-    with _open_text(args.gender_list) as handle:
-        gender_list = load_word_list(handle)
-    part = partition(original, gender_list)
-
-    def run(name, fn):
-        try:
-            report.metrics[name] = fn()
-        except FairvecError as exc:
-            report.errors[name] = str(exc)
-
+def _eval_direction(args, embeddings, original, part, report: BiasReport, run) -> None:
     def projection_bias():
         lists = bias_metrics.select_biased_words(original, part, args.top_biased)
         return bias_metrics.mean_abs_projection_bias(
@@ -243,17 +233,7 @@ def _eval_direction(args, embeddings, original, report: BiasReport) -> None:
             run("sembias_subset_acc", subset_accuracy)
 
 
-def _eval_relation(args, embeddings, original, report: BiasReport) -> None:
-    with _open_text(args.gender_list) as handle:
-        gender_list = load_word_list(handle)
-    part = partition(original, gender_list)
-
-    def run(name, fn):
-        try:
-            report.metrics[name] = fn()
-        except FairvecError as exc:
-            report.errors[name] = str(exc)
-
+def _eval_relation(args, embeddings, original, part, report: BiasReport, run) -> None:
     lists = None
     try:
         lists = bias_metrics.select_biased_words(original, part, args.top_biased)
@@ -286,7 +266,6 @@ def _eval_relation(args, embeddings, original, report: BiasReport) -> None:
             run("gbwr_profession", profession)
 
     weat_results = []
-    weat_failed = False
     for index, path in enumerate(args.weat):
         name = Path(path).stem
         report.provenance["datasets"][f"weat:{name}"] = _file_record(path)
@@ -298,7 +277,6 @@ def _eval_relation(args, embeddings, original, report: BiasReport) -> None:
             )
         except FairvecError as exc:
             report.errors[f"weat_pvalues:{name}"] = str(exc)
-            weat_failed = True
             continue
         weat_results.append({
             "name": spec.name or name,
@@ -306,10 +284,7 @@ def _eval_relation(args, embeddings, original, report: BiasReport) -> None:
             "p_value": p_value,
             "significant": p_value < bias_metrics.SIGNIFICANCE_LEVEL,
         })
-    if args.weat and not weat_failed:
-        report.metrics["weat_pvalues"] = weat_results
-    elif weat_results:
-        # partial results are still worth reporting alongside the errors
+    if weat_results:  # partial results are reported alongside the errors
         report.metrics["weat_pvalues"] = weat_results
 
     run("gbwr_classification_acc", lambda: bias_metrics.gbwr_classification(
@@ -375,11 +350,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     label = args.label or Path(args.embeddings).stem
     report = BiasReport(method=label)
+    embeddings_record = _file_record(args.embeddings)
+    if original is embeddings:  # the same file: reuse its digest
+        original_record = dict(embeddings_record, path=args.original_embeddings)
+    else:
+        original_record = _file_record(args.original_embeddings)
     report.provenance = {
         "seed": args.seed,
         "metrics_group": args.metrics,
-        "embeddings": _file_record(args.embeddings),
-        "original_embeddings": _file_record(args.original_embeddings),
+        "embeddings": embeddings_record,
+        "original_embeddings": original_record,
         "datasets": {},
         "options": {
             "normalized_projection": args.normalized_projection,
@@ -398,12 +378,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.gender_list:
         report.provenance["gender_list"] = _file_record(args.gender_list)
 
-    if args.metrics == "direction":
-        _eval_direction(args, embeddings, original, report)
-    elif args.metrics == "relation":
-        _eval_relation(args, embeddings, original, report)
-    else:
+    def run(name, fn):
+        try:
+            report.metrics[name] = fn()
+        except FairvecError as exc:
+            report.errors[name] = str(exc)
+
+    if args.metrics == "quality":
         _eval_quality(args, embeddings, report)
+    else:
+        with _open_text(args.gender_list) as handle:
+            part = partition(original, load_word_list(handle))
+        group = _eval_direction if args.metrics == "direction" else _eval_relation
+        group(args, embeddings, original, part, report, run)
 
     _write_json(args.out, report.to_dict())
     if report.errors:

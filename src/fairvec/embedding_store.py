@@ -1,8 +1,9 @@
 """Load, hold, query, and save word-embedding sets.
 
 File format: one entry per line, "token v1 ... vd", single-space separated,
-UTF-8, LF line endings, no header. Word-list files carry one token per line
-with "#" comment lines ignored.
+UTF-8, with an optional "count dim" header line; trailing whitespace on a
+row is ignored. Word-list files carry one token per line with "#" comment
+lines ignored.
 
 Every loader in the package reads its source through `_lines`: a path (str
 or os.PathLike), opened as UTF-8, or an iterable of lines such as an open
@@ -11,6 +12,7 @@ text file.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -18,7 +20,7 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .matrix_core import ZERO_NORM_EPS
+from .matrix_core import cosine_matrix
 
 LineSource = Union[str, os.PathLike, Iterable[str]]
 
@@ -91,16 +93,35 @@ class WordPartition:
     missing: int = 0  # list tokens that were not in the vocabulary
 
 
+def _is_header(first: str, second: str) -> bool:
+    """True when `first` is a "count dim" line and `second` has dim components."""
+    fields = first.rstrip().split(" ")
+    return (
+        len(fields) == 2
+        and all(field.isdecimal() for field in fields)
+        and len(second.rstrip().split(" ")) == int(fields[1]) + 1
+    )
+
+
 def load_embeddings(source: LineSource, max_words: int | None = None) -> EmbeddingSet:
-    """Parse an embedding file or text stream; dimension is inferred from the first line."""
+    """Parse an embedding file or text stream; dimension is inferred from the first row.
+
+    A first line of two integers is a "count dim" header, and is skipped,
+    when the line after it has dim components. Trailing whitespace on a row
+    is ignored.
+    """
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     dim: int | None = None
-    for lineno, line in enumerate(_lines(source), start=1):
+    lines = enumerate(_lines(source), start=1)
+    head = list(itertools.islice(lines, 2))
+    if len(head) == 2 and _is_header(head[0][1], head[1][1]):
+        del head[0]
+    for lineno, line in itertools.chain(head, lines):
         if max_words is not None and len(words) >= max_words:
             break
-        parts = line.rstrip("\r\n").split(" ")
+        parts = line.rstrip().split(" ")
         token = parts[0]
         values = parts[1:]
         if dim is None:
@@ -172,40 +193,47 @@ def partition(embeddings: EmbeddingSet, gender_list: Sequence[str]) -> WordParti
     )
 
 
-def nearest_neighbors(
+def top_k_neighbors(
     embeddings: EmbeddingSet,
-    query_index: int,
+    query_indices: Sequence[int],
     k: int,
     candidate_indices: Sequence[int] | None = None,
-) -> list[int]:
-    """Top-k candidates by cosine similarity to the query vector.
+) -> np.ndarray:
+    """Top-k candidates by cosine similarity for each query, one row per query.
 
-    The query itself is excluded; ties break toward the lower vocabulary
-    index, so nearest_neighbors(k1) is always a prefix of nearest_neighbors(k2)
-    for k1 < k2.
+    Each query is excluded from its own candidates. Candidates are ranked by
+    a stable sort on (-cosine, vocabulary index): ties break toward the
+    lower index, and for k1 < k2 the result for k1 is the first k1 columns
+    of the result for k2.
     """
     n = len(embeddings)
-    if not 0 <= query_index < n:
-        raise InputError(f"query index {query_index} outside vocabulary of size {n}")
+    queries = np.asarray(query_indices, dtype=np.int64).reshape(-1)
+    outside = queries[(queries < 0) | (queries >= n)]
+    if outside.size:
+        raise InputError(f"query index {outside[0]} outside vocabulary of size {n}")
     if candidate_indices is None:
         candidates = np.arange(n, dtype=np.int64)
     else:
         candidates = np.unique(np.asarray(candidate_indices, dtype=np.int64))
         if candidates.size and (candidates[0] < 0 or candidates[-1] >= n):
             raise InputError("candidate index outside vocabulary")
-    candidates = candidates[candidates != query_index]
-    if k < 0 or k > candidates.size:
-        raise InputError(
-            f"k={k} but only {candidates.size} candidates besides the query"
-        )
+    is_query = queries[:, None] == candidates[None, :]
+    available = candidates.size - is_query.sum(axis=1)
+    short = available[(k < 0) | (k > available)]
+    if short.size:
+        raise InputError(f"k={k} but only {short[0]} candidates besides the query")
 
-    query = embeddings.vectors[query_index]
-    cand_vectors = embeddings.vectors[candidates]
-    norms = np.linalg.norm(cand_vectors, axis=1)
-    qnorm = np.linalg.norm(query)
-    sims = np.zeros(candidates.size, dtype=np.float64)
-    if qnorm >= ZERO_NORM_EPS:
-        valid = norms >= ZERO_NORM_EPS
-        sims[valid] = (cand_vectors[valid] @ query) / (norms[valid] * qnorm)
-    order = np.lexsort((candidates, -sims))
-    return [int(i) for i in candidates[order[:k]]]
+    sims = cosine_matrix(embeddings.vectors[queries], embeddings.vectors[candidates])
+    sims[is_query] = -np.inf  # sorts last, past every real cosine
+    order = np.argsort(-sims, axis=1, kind="stable")
+    return candidates[order[:, :k]]
+
+
+def nearest_neighbors(
+    embeddings: EmbeddingSet,
+    query_index: int,
+    k: int,
+    candidate_indices: Sequence[int] | None = None,
+) -> list[int]:
+    """Top-k candidates by cosine similarity to one query; see top_k_neighbors."""
+    return top_k_neighbors(embeddings, [query_index], k, candidate_indices)[0].tolist()

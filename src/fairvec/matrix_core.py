@@ -68,17 +68,67 @@ def solve_ridge(a, b, alpha: float) -> RidgeSolution:
     return RidgeSolution(weights=weights, alpha=alpha)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; (near) zero rows get an infinite norm.
+
+    Dividing a dot product by an infinite norm gives 0, which is the cosine
+    defined for a vector with norm below ZERO_NORM_EPS.
+    """
+    norms = np.linalg.norm(x, axis=-1)
+    return np.where(norms < ZERO_NORM_EPS, np.inf, norms)
+
+
+def _cosines(dots: np.ndarray, norm_products: np.ndarray) -> np.ndarray:
+    # Clip round-off into [-1, 1]; adding 0.0 turns the -0.0 of a zero row into 0.0.
+    return np.clip(dots / norm_products, -1.0, 1.0) + 0.0
+
+
+def _check_dims(u: np.ndarray, v: np.ndarray) -> None:
+    if u.shape[-1] != v.shape[-1]:
+        raise InputError(f"vector dimensions differ: {u.shape[-1]} vs {v.shape[-1]}")
+
+
+def cosine_rows(u, v) -> np.ndarray:
+    """Cosine of each row of u with the matching row of v; rows broadcast.
+
+    Each row is reduced on its own, so a cosine does not depend on which
+    other rows are in the batch.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    _check_dims(u, v)
+    return _cosines(np.sum(u * v, axis=-1), _row_norms(u) * _row_norms(v))
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of x in a canonical (byte-sorted) order, and where each row went."""
+    x = np.ascontiguousarray(x)
+    if x.shape[1] == 0:  # every row is the empty vector; a zero-width key cannot be viewed
+        return x[:1], np.zeros(len(x), dtype=np.intp)
+    keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return x[first], inverse.ravel()
+
+
+def cosine_matrix(u, v) -> np.ndarray:
+    """Cosines of every row of u with every row of v, shape (len(u), len(v)).
+
+    A BLAS product may round the same dot product differently at different
+    row positions. The product is therefore taken over the distinct rows in
+    a canonical order: an entry depends only on its two vectors and on the
+    sets of rows, so duplicated vectors get bitwise-equal cosines and
+    reordering the rows permutes the result exactly.
+    """
+    u_rows, u_where = _distinct_rows(np.asarray(u, dtype=np.float64))
+    v_rows, v_where = _distinct_rows(np.asarray(v, dtype=np.float64))
+    _check_dims(u_rows, v_rows)
+    norm_products = np.outer(_row_norms(u_rows), _row_norms(v_rows))
+    return _cosines(u_rows @ v_rows.T, norm_products)[np.ix_(u_where, v_where)]
+
+
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between u and v; 0.0 if either is (near) zero."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise InputError(f"vector dimensions differ: {u.shape[0]} vs {v.shape[0]}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return float(cosine_rows(np.ravel(u), np.ravel(v)))
 
 
 def _as_sequence_pair(x, y):

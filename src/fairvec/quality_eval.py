@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding_store import EmbeddingSet, LineSource, _lines
 from .errors import InputError, ParseError
-from .matrix_core import cosine_similarity, pearson, spearman
+from .matrix_core import cosine_rows, pearson, spearman
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,14 @@ def word_similarity_eval(
     Pairs with an out-of-vocabulary word are skipped and counted. Returns
     (spearman, used, skipped).
     """
-    human = []
-    model = []
-    skipped = 0
-    for w1, w2, score in data.entries:
-        if w1 not in embeddings or w2 not in embeddings:
-            skipped += 1
-            continue
-        human.append(score)
-        model.append(cosine_similarity(embeddings.vector(w1), embeddings.vector(w2)))
-    if len(human) < 2:
+    usable = [entry for entry in data.entries if entry[0] in embeddings and entry[1] in embeddings]
+    if len(usable) < 2:
         raise InputError(f"dataset {data.name!r}: fewer than 2 usable pairs")
-    return spearman(human, model), len(human), skipped
+    index = embeddings.index
+    model = cosine_rows(embeddings.vectors[[index(a) for a, _, _ in usable]],
+                        embeddings.vectors[[index(b) for _, b, _ in usable]])
+    human = [score for _, _, score in usable]
+    return spearman(human, model), len(usable), len(data.entries) - len(usable)
 
 
 def sentence_embedding(embeddings: EmbeddingSet, sentence: Sequence[str]) -> np.ndarray:
@@ -86,20 +82,15 @@ def sts_eval(embeddings: EmbeddingSet, data: SentencePairDataset) -> tuple[float
     a single zero side scores cosine 0 and stays in. Returns
     (pearson_x100, used, skipped).
     """
-    human = []
-    model = []
-    skipped = 0
-    for s1, s2, score in data.entries:
-        e1 = sentence_embedding(embeddings, s1)
-        e2 = sentence_embedding(embeddings, s2)
-        if not e1.any() and not e2.any():
-            skipped += 1
-            continue
-        human.append(score)
-        model.append(cosine_similarity(e1, e2))
-    if len(human) < 2:
+    first = np.stack([sentence_embedding(embeddings, s1) for s1, _, _ in data.entries])
+    second = np.stack([sentence_embedding(embeddings, s2) for _, s2, _ in data.entries])
+    used = first.any(axis=1) | second.any(axis=1)
+    n_used = int(np.count_nonzero(used))
+    if n_used < 2:
         raise InputError(f"dataset {data.name!r}: fewer than 2 usable pairs")
-    return pearson(human, model) * 100.0, len(human), skipped
+    human = np.array([score for _, _, score in data.entries])[used]
+    model = cosine_rows(first[used], second[used])
+    return pearson(human, model) * 100.0, n_used, len(data.entries) - n_used
 
 
 def yearly_average(results: Sequence[tuple[str, float]]) -> dict[str, float]:

@@ -32,6 +32,7 @@ from fairvec import (
     sembias_eval,
     weat_test,
 )
+from fairvec.bias_metrics import WEAT_SAMPLES
 
 
 def embedding_from(words, vectors) -> EmbeddingSet:
@@ -613,3 +614,69 @@ class TestLoaders:
     def test_weat_token_outside_section(self):
         with pytest.raises(ParseError, match="line 1"):
             load_weat_spec(io.StringIO("stray\n[targets_x]\n"))
+
+
+class TestZeroNormRows:
+    """Zero-norm rows score cosine 0, as in cosine_similarity."""
+
+    def test_sembias_zero_difference_scores_zero(self):
+        # he - she = e0 - e1; "z1" and "z2" share a vector, so their
+        # difference is the zero vector
+        embeddings = embedding_from(
+            ["he", "she", "z1", "z2", "p1", "p2", "n1", "n2"],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1],
+             [1, 0, 1], [0, 0, 1], [0, 1, 2], [1, 0, 0]],
+        )
+        # cosine 0 beats the negative pairs and loses to the positive one
+        zero_wins = SemBiasInstance(pairs=(
+            ("n1", "n2", "other"), ("z1", "z2", "definition"),
+            ("n1", "n2", "other"), ("n1", "n2", "biased"),
+        ))
+        zero_loses = SemBiasInstance(pairs=(
+            ("z1", "z2", "other"), ("p1", "p2", "definition"),
+            ("n1", "n2", "other"), ("n1", "n2", "biased"),
+        ))
+        assert sembias_eval(embeddings, [zero_wins, zero_loses]) == (1.0, 2, 0)
+
+    def test_weat_zero_attribute_matches_oracle(self):
+        embeddings, spec = weat_fixture()
+        vectors = embeddings.vectors.copy()
+        vectors[embeddings.index("a1")] = 0.0
+        zeroed = EmbeddingSet(words=embeddings.words, vectors=vectors)
+        statistic, p_value = weat_test(zeroed, spec, seed=0)
+
+        by_word = {w: zeroed.vector(w) for w in zeroed.words}
+        s = oracles.weat_associations(
+            by_word, list(spec.targets_x) + list(spec.targets_y),
+            spec.attributes_a, spec.attributes_b,
+        )
+        ref_stat, ref_p = oracles.weat_exact(s, len(spec.targets_x))
+        assert statistic == pytest.approx(ref_stat, abs=1e-12)
+        assert p_value == ref_p
+
+
+def test_weat_sampled_p_matches_per_permutation_loop():
+    rng = np.random.default_rng(51)
+    n_targets = 10  # C(20, 10) > WEAT_EXACT_LIMIT, so the test samples
+    words = [f"x{i}" for i in range(n_targets)] + [f"y{i}" for i in range(n_targets)]
+    words += ["a0", "a1", "a2", "b0", "b1", "b2"]
+    embeddings = embedding_from(words, rng.normal(size=(len(words), 8)))
+    spec = WeatSpec(
+        targets_x=tuple(words[:n_targets]), targets_y=tuple(words[n_targets:2 * n_targets]),
+        attributes_a=("a0", "a1", "a2"), attributes_b=("b0", "b1", "b2"),
+    )
+    by_word = {w: embeddings.vector(w) for w in words}
+    s = np.array(oracles.weat_associations(
+        by_word, words[:2 * n_targets], spec.attributes_a, spec.attributes_b))
+    total = 2 * n_targets
+    observed = s[:n_targets].sum() - s[n_targets:].sum()
+    for seed in (3, 4):
+        loop_rng = np.random.default_rng(seed)
+        count = 1  # the observed partition
+        for _ in range(WEAT_SAMPLES):
+            chosen = np.sort(loop_rng.permutation(total)[:n_targets])
+            rest = np.setdiff1d(np.arange(total), chosen)
+            count += s[chosen].sum() - s[rest].sum() >= observed
+        _, p_value = weat_test(embeddings, spec, seed=seed)
+        assert p_value == count / (WEAT_SAMPLES + 1)
+        assert 0.05 < p_value < 0.95  # a mid-range p, not a trivial one

@@ -354,6 +354,36 @@ class TestEvalCommand:
                 "--out", str(workdir["dir"] / "x.json"),
             ])
 
+    @pytest.mark.parametrize("original", [None, "same", "relative"])
+    def test_each_input_file_hashed_once(self, workdir, monkeypatch, original):
+        hashed = []
+        real_sha256 = fairvec.cli._sha256
+
+        def counting_sha256(path):
+            hashed.append(os.path.abspath(path))
+            return real_sha256(path)
+
+        monkeypatch.setattr(fairvec.cli, "_sha256", counting_sha256)
+        extra = []
+        if original == "same":
+            extra = ["--original-embeddings", workdir["emb"]]
+        elif original == "relative":
+            monkeypatch.chdir(workdir["dir"])
+            extra = ["--original-embeddings", os.path.basename(workdir["emb"])]
+        out = str(workdir["dir"] / "hashed.json")
+        code = main([
+            "eval", "--embeddings", workdir["emb"], "--metrics", "quality",
+            "--wordsim", f"toy={workdir['wordsim']}", "--out", out, *extra,
+        ])
+        assert code == 0
+        assert sorted(hashed) == sorted({workdir["emb"], workdir["wordsim"]})
+        provenance = read_json(out)["provenance"]
+        expected = hashlib.sha256(Path(workdir["emb"]).read_bytes()).hexdigest()
+        assert provenance["embeddings"]["sha256"] == expected
+        assert provenance["original_embeddings"] == {
+            "path": extra[1] if extra else workdir["emb"], "sha256": expected,
+        }
+
     def test_default_label_is_file_stem(self, workdir):
         out = str(workdir["dir"] / "lbl.json")
         main([

@@ -21,6 +21,7 @@ from fairvec import (
     nearest_neighbors,
     partition,
     save_embeddings,
+    top_k_neighbors,
 )
 
 
@@ -75,6 +76,32 @@ class TestLoad:
         assert embeddings.words == ("a", "b", "c")
         assert np.array_equal(embeddings.vector("c"), [2.0, 2.0])
         assert load_embeddings(as_path(path), max_words=2).words == ("a", "b")
+
+    def test_count_dim_header_skipped(self):
+        embeddings = load_text("2 3\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
+        assert embeddings.words == ("a", "b")
+        assert embeddings.dim == 3
+
+    def test_header_not_counted_by_max_words(self):
+        embeddings = load_text("3 1\na 1.0\nb 2.0\nc 3.0\n", max_words=2)
+        assert embeddings.words == ("a", "b")
+
+    def test_header_dim_disagreeing_with_rows_rejected(self):
+        # not a header, so line 1 is a one-component row and line 2 disagrees
+        with pytest.raises(ParseError, match="line 2"):
+            load_text("2 4\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
+
+    def test_integer_rows_without_header_kept(self):
+        # "3 2" cannot be a header for one-component rows: it is the row of "3"
+        embeddings = load_text("3 2\n4 5\n")
+        assert embeddings.words == ("3", "4")
+        assert np.array_equal(embeddings.vectors, [[2.0], [5.0]])
+
+    def test_trailing_whitespace_ignored(self):
+        # fastText .vec layout: a header, then rows ending in a space
+        embeddings = load_text("2 2\na 1.0 0.5 \nb -1.0 2.0 \r\n")
+        assert embeddings.words == ("a", "b")
+        assert np.array_equal(embeddings.vectors, [[1.0, 0.5], [-1.0, 2.0]])
 
 
 class TestSave:
@@ -256,3 +283,44 @@ class TestNearestNeighbors:
     def test_k_too_large(self, tiny):
         with pytest.raises(InputError):
             nearest_neighbors(tiny, 0, len(tiny))  # query excluded, so max is n-1
+
+
+class TestTopKNeighbors:
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 24), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_with_zero_rows_and_duplicates(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n, dim))
+        # duplicated vectors give exact ties; zero rows have cosine 0 with all
+        for target in rng.integers(0, n, size=n // 3):
+            vectors[target] = vectors[rng.integers(0, n)]
+        vectors[rng.integers(0, n, size=max(1, n // 6))] = 0.0
+        embeddings = EmbeddingSet(words=tuple(f"w{i}" for i in range(n)), vectors=vectors)
+        pool = sorted(set(rng.integers(0, n, size=n).tolist()) | {0, 1})
+        queries = rng.integers(0, n, size=n)
+        k = len(pool) - 1
+        ranked = top_k_neighbors(embeddings, queries, k, pool)
+        for query, row in zip(queries, ranked):
+            assert row.tolist() == oracles.neighbors_oracle(vectors, query, k, pool)
+
+    def test_rows_are_single_query_results(self):
+        rng = np.random.default_rng(11)
+        vectors = np.round(rng.normal(size=(12, 3)), 1)
+        embeddings = EmbeddingSet(words=tuple(f"w{i}" for i in range(12)), vectors=vectors)
+        ranked = top_k_neighbors(embeddings, range(12), 11)
+        for query in range(12):
+            assert ranked[query].tolist() == nearest_neighbors(embeddings, query, 11)
+
+    def test_k_checked_against_each_query(self, tiny):
+        pool = [tiny.index("north"), tiny.index("south")]
+        # "he" has both pool members as candidates, "north" only one
+        assert top_k_neighbors(tiny, [tiny.index("he")], 2, pool).shape == (1, 2)
+        with pytest.raises(InputError, match="only 1 candidates"):
+            top_k_neighbors(tiny, [tiny.index("he"), tiny.index("north")], 2, pool)
+
+    def test_zero_dimensional_vectors_rank_by_index(self):
+        embeddings = EmbeddingSet(words=("a", "b", "c"), vectors=np.zeros((3, 0)))
+        assert top_k_neighbors(embeddings, [1, 2], 2).tolist() == [[0, 2], [0, 1]]
+
+    def test_no_queries(self, tiny):
+        assert top_k_neighbors(tiny, [], 2).shape == (0, 2)

@@ -73,6 +73,18 @@ class TestWordSimilarity:
         with pytest.raises(InputError):
             word_similarity_eval(vocab10, data)
 
+    def test_zero_vector_scores_zero_cosine(self, vocab10):
+        vectors = vocab10.vectors.copy()
+        vectors[0] = 0.0
+        embeddings = EmbeddingSet(words=vocab10.words, vectors=vectors)
+        pairs = [("w0", "w1"), ("w2", "w3"), ("w4", "w0"), ("w6", "w7")]
+        human = [3.0, 1.0, 4.0, 2.0]
+        rho, used, _ = word_similarity_eval(embeddings, pair_dataset(embeddings, pairs, human))
+        model = [0.0, cosine_similarity(vectors[2], vectors[3]), 0.0,
+                 cosine_similarity(vectors[6], vectors[7])]
+        assert rho == pytest.approx(oracles.spearman_oracle(human, model), abs=1e-12)
+        assert used == 4
+
     def test_uniform_scaling_invariance(self, vocab10):
         pairs = [("w0", "w1"), ("w2", "w3"), ("w4", "w5")]
         data = pair_dataset(vocab10, pairs, [3.0, 1.0, 2.0])

@@ -8,6 +8,10 @@ Reports are deterministic: keys are sorted, no timestamps are embedded, and
 every random choice derives from --seed through fixed offsets (clustering
 uses the seed itself, classification seed+1, the i-th association test
 seed+100+i). Output files are written atomically via a temp file and rename.
+
+`debias` also writes a binary copy of its output, `<out>.npz`, keyed by the
+sha256 of the `<out>` text. Every embedding load reads that copy instead of
+the text when the digests agree, and parses the text otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ from pathlib import Path
 from . import bias_metrics, quality_eval
 from .bias_metrics import BiasReport
 from .debias import DEFAULT_ALPHA, HsrConfig, hard_debias, hsr_debias
-from .embedding_store import load_embeddings, load_word_list, partition, save_embeddings
+from .embedding_store import (
+    EmbeddingSet,
+    _load_binary,
+    _save_binary,
+    load_embeddings,
+    load_word_list,
+    partition,
+    save_embeddings,
+)
 from .errors import FairvecError
 
 CLASSIFY_SEED_OFFSET = 1
@@ -51,8 +63,8 @@ def _umask() -> int:
 
 
 @contextlib.contextmanager
-def _atomic_output(path: str):
-    """Text handle on a temp file that replaces `path` when the block exits.
+def _atomic_output(path: str, binary: bool = False):
+    """Text (or binary) handle on a temp file that replaces `path` when the block exits.
 
     The file gets the mode a plain open() would give it (0666 less the
     umask), not mkstemp's 0600. On error the temp file is removed and `path`
@@ -61,7 +73,8 @@ def _atomic_output(path: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
             yield handle
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -84,9 +97,22 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def _load_embedding_file(path: str, cap: int | None):
-    with _open_text(path) as handle:
-        return load_embeddings(handle, max_words=cap)
+def _binary_path(path: str) -> str:
+    return path + ".npz"
+
+
+def _load_embedding_file(path: str, cap: int | None) -> tuple[EmbeddingSet, dict]:
+    """Load an embedding file, and hash it for its provenance record.
+
+    The binary copy that `debias` wrote next to the file is used when it was
+    written for the bytes just hashed; otherwise the text is parsed.
+    """
+    record = _file_record(path)
+    embeddings = _load_binary(_binary_path(path), record["sha256"], cap)
+    if embeddings is None:
+        with _open_text(path) as handle:
+            embeddings = load_embeddings(handle, max_words=cap)
+    return embeddings, record
 
 
 def _name_path_pair(value: str) -> tuple[str, str]:
@@ -176,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_debias(args: argparse.Namespace) -> int:
-    embeddings = _load_embedding_file(args.embeddings, args.vocab_cap)
+    embeddings, embeddings_record = _load_embedding_file(args.embeddings, args.vocab_cap)
     with _open_text(args.gender_list) as handle:
         gender_list = load_word_list(handle)
     config = HsrConfig(gender_list=tuple(gender_list), alpha=args.alpha)
@@ -187,13 +213,15 @@ def cmd_debias(args: argparse.Namespace) -> int:
 
     with _atomic_output(args.out) as handle:
         save_embeddings(result.embeddings, handle)
+    with _atomic_output(_binary_path(args.out), binary=True) as handle:
+        _save_binary(result.embeddings, _sha256(args.out), handle)
     sidecar = {
         "method": result.method,
         "alpha": args.alpha,
         "gender_norm": result.gender_norm,
         "config": result.config,
         "inputs": {
-            "embeddings": _file_record(args.embeddings),
+            "embeddings": embeddings_record,
             "gender_list": _file_record(args.gender_list),
         },
         "vocab_size": len(result.embeddings),
@@ -342,19 +370,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.original_embeddings is None:
         args.original_embeddings = args.embeddings
 
-    embeddings = _load_embedding_file(args.embeddings, args.vocab_cap)
+    embeddings, embeddings_record = _load_embedding_file(args.embeddings, args.vocab_cap)
     if os.path.abspath(args.original_embeddings) == os.path.abspath(args.embeddings):
-        original = embeddings
+        original = embeddings  # the same file: reuse it and its digest
+        original_record = dict(embeddings_record, path=args.original_embeddings)
     else:
-        original = _load_embedding_file(args.original_embeddings, args.vocab_cap)
+        original, original_record = _load_embedding_file(args.original_embeddings,
+                                                         args.vocab_cap)
 
     label = args.label or Path(args.embeddings).stem
     report = BiasReport(method=label)
-    embeddings_record = _file_record(args.embeddings)
-    if original is embeddings:  # the same file: reuse its digest
-        original_record = dict(embeddings_record, path=args.original_embeddings)
-    else:
-        original_record = _file_record(args.original_embeddings)
     report.provenance = {
         "seed": args.seed,
         "metrics_group": args.metrics,

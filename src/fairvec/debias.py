@@ -86,6 +86,7 @@ def hsr_debias(embeddings: EmbeddingSet, config: HsrConfig) -> DebiasResult:
             "alpha": config.alpha,
             "gender_words_in_vocab": int(part.definition_indices.size),
             "gender_words_missing": part.missing,
+            "gender_words_missing_names": list(part.missing_words),
         },
     )
 
@@ -117,5 +118,6 @@ def hard_debias(embeddings: EmbeddingSet, config: HsrConfig) -> DebiasResult:
             "direction": "he-she",
             "gender_words_in_vocab": int(part.definition_indices.size),
             "gender_words_missing": part.missing,
+            "gender_words_missing_names": list(part.missing_words),
         },
     )

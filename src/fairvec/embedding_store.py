@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence, Union
 
@@ -91,6 +92,7 @@ class WordPartition:
     definition_indices: np.ndarray
     neutral_indices: np.ndarray
     missing: int = 0  # list tokens that were not in the vocabulary
+    missing_words: tuple[str, ...] = ()  # those tokens, in list order
 
 
 def _is_header(first: str, second: str) -> bool:
@@ -161,6 +163,44 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     )
 
 
+def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes]) -> None:
+    """Write the set as an uncompressed .npz archive that _load_binary reads.
+
+    The archive holds the sha256 of the text file the set was saved as, the
+    words as UTF-8 joined by newlines in a uint8 array (a token holds no
+    newline; a fixed-width string array would drop trailing NULs) and the
+    float64 matrix.
+    """
+    words = "\n".join(embeddings.words).encode("utf-8")
+    np.savez(sink, sha256=np.array(text_sha256),
+             words=np.frombuffer(words, dtype=np.uint8), vectors=embeddings.vectors)
+
+
+def _load_binary(path: str, text_sha256: str,
+                 max_words: int | None = None) -> EmbeddingSet | None:
+    """The set that _save_binary wrote to `path` for the text with this digest.
+
+    None, so that the caller parses the text instead, when the archive is
+    missing or unreadable, was written for other text, is not shaped as
+    _save_binary writes it, or fails EmbeddingSet's validation. Like the
+    text loader, `max_words` keeps the first rows.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if archive["sha256"].item() != text_sha256:
+                return None
+            words = archive["words"].tobytes().decode("utf-8").split("\n")
+            vectors = archive["vectors"]
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        return None
+    if vectors.dtype != np.float64 or vectors.ndim != 2 or len(vectors) != len(words):
+        return None
+    try:
+        return EmbeddingSet(words=tuple(words[:max_words]), vectors=vectors[:max_words])
+    except InputError:
+        return None
+
+
 def load_word_list(source: LineSource) -> list[str]:
     """One token per line; blank lines and '#' comment lines are ignored."""
     tokens = []
@@ -175,12 +215,12 @@ def load_word_list(source: LineSource) -> list[str]:
 def partition(embeddings: EmbeddingSet, gender_list: Sequence[str]) -> WordPartition:
     """Split the vocabulary into gender-definition indices and the rest.
 
-    List tokens absent from the vocabulary are ignored; their count is
-    reported on the returned partition.
+    List tokens absent from the vocabulary are ignored; their count and
+    names are reported on the returned partition.
     """
     unique = list(dict.fromkeys(gender_list))
     found = sorted(embeddings.index(w) for w in unique if w in embeddings)
-    missing = len(unique) - len(found)
+    missing_words = tuple(w for w in unique if w not in embeddings)
     if not found:
         raise ConfigError("no gender-definition word is present in the vocabulary")
     definition = np.asarray(found, dtype=np.int64)
@@ -189,7 +229,8 @@ def partition(embeddings: EmbeddingSet, gender_list: Sequence[str]) -> WordParti
     return WordPartition(
         definition_indices=definition,
         neutral_indices=np.flatnonzero(mask).astype(np.int64),
-        missing=missing,
+        missing=len(missing_words),
+        missing_words=missing_words,
     )
 
 

@@ -68,14 +68,33 @@ def solve_ridge(a, b, alpha: float) -> RidgeSolution:
     return RidgeSolution(weights=weights, alpha=alpha)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row; (near) zero rows get an infinite norm.
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row; (near) zero rows get an infinite one.
 
     Dividing a dot product by an infinite norm gives 0, which is the cosine
     defined for a vector with norm below ZERO_NORM_EPS.
     """
-    norms = np.linalg.norm(x, axis=-1)
-    return np.where(norms < ZERO_NORM_EPS, np.inf, norms)
+    squares = np.sum(x * x, axis=-1)
+    return np.where(np.sqrt(squares) < ZERO_NORM_EPS, np.inf, squares)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; (near) zero rows get an infinite norm."""
+    return np.sqrt(_squared_norms(x))
+
+
+def _norm_products(squares_u: np.ndarray, squares_v: np.ndarray) -> np.ndarray:
+    """|u| |v| as one square root of |u|^2 |v|^2, so that cos(u, u) is exactly 1.
+
+    sqrt(|u|^2 |u|^2) rounds back to |u|^2, where |u| * |u| need not. The
+    squares are split into mantissa and exponent first, so the product
+    overflows only where |u| |v| itself does.
+    """
+    mantissa_u, exponent_u = np.frexp(squares_u)
+    mantissa_v, exponent_v = np.frexp(squares_v)
+    exponent = exponent_u + exponent_v
+    odd = exponent & 1
+    return np.ldexp(np.sqrt(np.ldexp(mantissa_u * mantissa_v, odd)), (exponent - odd) // 2)
 
 
 def _cosines(dots: np.ndarray, norm_products: np.ndarray) -> np.ndarray:
@@ -97,7 +116,7 @@ def cosine_rows(u, v) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     _check_dims(u, v)
-    return _cosines(np.sum(u * v, axis=-1), _row_norms(u) * _row_norms(v))
+    return _cosines(np.sum(u * v, axis=-1), _norm_products(_squared_norms(u), _squared_norms(v)))
 
 
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

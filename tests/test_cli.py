@@ -188,9 +188,113 @@ class TestDebiasCommand:
         finally:
             os.umask(previous)
         assert code == 0
-        for path in (out, Path(str(out) + ".meta.json")):
+        for path in (out, Path(str(out) + ".meta.json"), Path(str(out) + ".npz")):
             assert stat.S_IMODE(path.stat().st_mode) == mode
         assert not [p.name for p in workdir["dir"].iterdir() if p.name.startswith(".tmp-")]
+
+
+@pytest.fixture
+def text_parses(monkeypatch):
+    """Base names of the embedding files the CLI parses as text, in order."""
+    parsed = []
+    real_load = fairvec.cli.load_embeddings
+
+    def counting_load(source, *args, **kwargs):
+        parsed.append(os.path.basename(source.name))
+        return real_load(source, *args, **kwargs)
+
+    monkeypatch.setattr(fairvec.cli, "load_embeddings", counting_load)
+    return parsed
+
+
+class TestBinaryCopy:
+    """`debias` writes <out>.npz; loads use it only for the exact text it was written with."""
+
+    def debias(self, workdir, name, source=None):
+        out = str(workdir["dir"] / name)
+        code = main([
+            "debias", "--embeddings", source or workdir["emb"],
+            "--gender-list", workdir["gender"], "--out", out,
+        ])
+        assert code == 0
+        return out
+
+    def eval_outputs(self, workdir, embeddings, group, extra=()):
+        out = workdir["dir"] / f"{group}.json"
+        argv = ["eval", "--embeddings", embeddings, "--metrics", group, "--label", "x",
+                "--out", str(out), *extra]
+        if group == "direction":
+            argv += ["--original-embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                     "--sembias", workdir["sembias"], "--top-biased", "10"]
+        elif group == "relation":
+            argv += ["--gender-list", workdir["gender"], "--weat", workdir["weat"],
+                     "--professions", workdir["professions"], "--top-biased", "10",
+                     "--neighbors", "5", "--classify-n", "20", "--classify-train", "5"]
+        else:
+            argv += ["--wordsim", f"toy={workdir['wordsim']}",
+                     "--sts", f"2015/planted={workdir['sts']}"]
+        assert main(argv) == 0
+        outputs = [out.read_bytes()]
+        if group == "relation":
+            outputs.append((workdir["dir"] / f"{group}.professions.tsv").read_bytes())
+        return outputs
+
+    @pytest.mark.parametrize("group, extra", [
+        ("direction", []),
+        ("direction", ["--vocab-cap", "50"]),
+        ("relation", []),
+        ("quality", []),
+        ("quality", ["--vocab-cap", "50"]),
+    ])
+    def test_outputs_identical_without_binary_copy(self, workdir, text_parses, group, extra):
+        hsr = self.debias(workdir, "hsr.txt")
+        with_copy = self.eval_outputs(workdir, hsr, group, extra)
+        assert "hsr.txt" not in text_parses
+        os.remove(hsr + ".npz")
+        assert self.eval_outputs(workdir, hsr, group, extra) == with_copy
+        assert "hsr.txt" in text_parses
+
+    def test_edited_text_ignores_binary_copy(self, workdir, text_parses):
+        hsr = self.debias(workdir, "hsr.txt")
+        debiased = self.eval_outputs(workdir, hsr, "quality")
+        Path(hsr).write_bytes(Path(workdir["emb"]).read_bytes())  # same words, other vectors
+        edited = self.eval_outputs(workdir, hsr, "quality")
+        assert text_parses == ["emb.txt", "hsr.txt"]
+        original = self.eval_outputs(workdir, workdir["emb"], "quality")
+        metrics = [json.loads(outputs[0])["metrics"] for outputs in (debiased, edited, original)]
+        assert metrics[1] == metrics[2] != metrics[0]
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[: len(data) // 2],
+        lambda data: data[:-1],
+        lambda data: b"not an archive\n" * 8,
+        lambda data: b"",
+    ], ids=["half", "last-byte", "garbage", "empty"])
+    def test_damaged_binary_copy_ignored(self, workdir, text_parses, damage):
+        hsr = self.debias(workdir, "hsr.txt")
+        copy = Path(hsr + ".npz")
+        expected = self.eval_outputs(workdir, hsr, "quality")
+        copy.write_bytes(damage(copy.read_bytes()))
+        assert self.eval_outputs(workdir, hsr, "quality") == expected
+        assert text_parses == ["emb.txt", "hsr.txt"]
+
+    def test_chained_debias_reads_binary_copy(self, workdir, text_parses):
+        hsr = self.debias(workdir, "hsr.txt")
+        twice = self.debias(workdir, "twice.txt", source=hsr)
+        assert text_parses == ["emb.txt"]
+        outputs = [Path(twice + suffix).read_bytes() for suffix in ("", ".npz", ".meta.json")]
+        os.remove(hsr + ".npz")
+        self.debias(workdir, "twice.txt", source=hsr)
+        assert text_parses == ["emb.txt", "hsr.txt"]
+        assert [Path(twice + suffix).read_bytes()
+                for suffix in ("", ".npz", ".meta.json")] == outputs
+
+    def test_repeated_debias_writes_identical_binary_copy(self, workdir):
+        out = workdir["dir"] / "d.txt.npz"
+        self.debias(workdir, "d.txt")
+        first = out.read_bytes()
+        self.debias(workdir, "d.txt")
+        assert out.read_bytes() == first
 
 
 class TestEvalCommand:

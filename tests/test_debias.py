@@ -120,6 +120,12 @@ class TestHsrDebias:
         result = hsr_debias(planted.embeddings, config)
         assert result.config["gender_words_missing"] == 1
 
+    @pytest.mark.parametrize("method", [hsr_debias, hard_debias])
+    def test_missing_words_named(self, planted, method):
+        config = HsrConfig(gender_list=("zz",) + planted.gender_list + ("notaword",))
+        result = method(planted.embeddings, config)
+        assert result.config["gender_words_missing_names"] == ["zz", "notaword"]
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             HsrConfig(gender_list=("he",), alpha=-1.0)

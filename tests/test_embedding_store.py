@@ -229,6 +229,12 @@ class TestPartition:
         assert part.definition_indices.tolist() == [0, 1]
         assert part.missing == 0
 
+    def test_missing_tokens_named_in_list_order(self):
+        embeddings = load_text("he 1.0\nshe 2.0\ntree 3.0\n")
+        part = partition(embeddings, ["zzz", "he", "aaa", "zzz", "she"])
+        assert part.missing_words == ("zzz", "aaa")
+        assert part.missing == 2
+
 
 class TestNearestNeighbors:
     def test_tie_break_lowest_index(self):

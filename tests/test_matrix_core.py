@@ -21,7 +21,7 @@ from fairvec import (
     spearman,
     train_linear_classifier,
 )
-from fairvec.matrix_core import _lloyd, average_ranks
+from fairvec.matrix_core import _lloyd, average_ranks, cosine_rows
 
 
 class TestSolveRidge:
@@ -107,6 +107,24 @@ class TestCosine:
         size = min(len(u), len(v))
         value = cosine_similarity(np.array(u[:size]), np.array(v[:size]))
         assert -1.0 <= value <= 1.0
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(-6, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_self_cosine_exactly_one(self, seed, dim, exponent):
+        rows = np.random.default_rng(seed).normal(size=(16, dim)) * 10.0 ** exponent
+        nonzero = np.linalg.norm(rows, axis=1) >= 1e-12
+        assert np.all(cosine_rows(rows, rows)[nonzero] == 1.0)
+
+    def test_large_norms_do_not_overflow(self):
+        # |u|^2 |v|^2 is far above the float64 range at norms near 1e100
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(size=(2, 50, 300))
+        big_u, big_v = u * 1e100, v * 1e100
+        product_of_norms = np.sum(big_u * big_v, axis=1) / (
+            np.linalg.norm(big_u, axis=1) * np.linalg.norm(big_v, axis=1))
+        assert np.allclose(cosine_rows(big_u, big_v), product_of_norms, rtol=0, atol=4e-16)
+        assert np.allclose(cosine_rows(big_u, big_v), cosine_rows(u, v), rtol=0, atol=4e-16)
+        assert np.all(cosine_rows(big_u, big_u) == 1.0)
 
 
 class TestPearson:

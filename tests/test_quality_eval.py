@@ -85,6 +85,16 @@ class TestWordSimilarity:
         assert rho == pytest.approx(oracles.spearman_oracle(human, model), abs=1e-12)
         assert used == 4
 
+    def test_self_pairs_tie(self, vocab10):
+        # every self-pair has cosine exactly 1, so the two share one rank
+        pairs = [("w1", "w1"), ("w6", "w6"), ("w2", "w3"), ("w4", "w5")]
+        human = [9.0, 10.0, 3.0, 5.0]
+        rho, used, _ = word_similarity_eval(vocab10, pair_dataset(vocab10, pairs, human))
+        model = [1.0, 1.0, cosine_similarity(vocab10.vector("w2"), vocab10.vector("w3")),
+                 cosine_similarity(vocab10.vector("w4"), vocab10.vector("w5"))]
+        assert rho == pytest.approx(oracles.spearman_oracle(human, model), abs=1e-12)
+        assert used == 4
+
     def test_uniform_scaling_invariance(self, vocab10):
         pairs = [("w0", "w1"), ("w2", "w3"), ("w4", "w5")]
         data = pair_dataset(vocab10, pairs, [3.0, 1.0, 2.0])

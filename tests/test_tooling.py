@@ -36,3 +36,38 @@ def test_embedding_set_post_init_is_traceable():
     from fairvec.embedding_store import EmbeddingSet
 
     assert callable(EmbeddingSet.__post_init__)
+
+
+def test_trace_counts_text_loads_only(tmp_path):
+    # The benchmark's per-layer load metrics come from these spans and counters:
+    # a text load is traced with its byte count, a binary-copy load is not a text load.
+    from conftest import build_planted, write_embedding_file
+    from fairvec import cli
+
+    planted = build_planted(n_neutral=40, dim=8, n_definition=4, seed=3)
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, planted.embeddings)
+    gender = tmp_path / "gender.txt"
+    gender.write_text("\n".join(planted.gender_list) + "\n")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("m0\tm1\t5.0\nm2\tf0\t1.5\nf1\tf2\t4.0\n")
+    hsr = str(tmp_path / "hsr.txt")
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["debias", "--embeddings", str(emb), "--gender-list", str(gender),
+                         "--out", hsr]) == 0
+        debias_spans = len(tracer.spans)
+        text_bytes = tracer.counters.get("embedding_store.load_embeddings.bytes", 0)
+        assert cli.main(["eval", "--embeddings", hsr, "--metrics", "quality",
+                         "--wordsim", f"toy={pairs}", "--out", str(tmp_path / "q.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert names[:debias_spans].count("embedding_store.load_embeddings") == 1
+    assert text_bytes == emb.stat().st_size > 0
+    assert "cli.cmd_eval" in names[debias_spans:]
+    assert "embedding_store.load_embeddings" not in names[debias_spans:]
+    assert "embedding_store.EmbeddingSet" in names[debias_spans:]

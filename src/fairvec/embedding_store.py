@@ -21,7 +21,7 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .matrix_core import cosine_matrix
+from .matrix_core import cosine_matrix, exact_cosine_rows
 
 LineSource = Union[str, os.PathLike, Iterable[str]]
 
@@ -42,8 +42,11 @@ class EmbeddingSet:
     words: tuple[str, ...]
     vectors: np.ndarray  # (|V|, dim), read-only after construction
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # Debiasing fits by gender list, filled by the debias module; the set never
+    # changes, so a fit stays valid for its lifetime.
+    _debias_fits: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise InputError("vectors must be a 2-D array of shape (|V|, dim)")
@@ -59,11 +62,25 @@ class EmbeddingSet:
             if w in index:
                 raise InputError(f"duplicate token {w!r}")
             index[w] = i
-        vectors = vectors.copy()
+        if copy:
+            vectors = vectors.copy()
         vectors.setflags(write=False)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_debias_fits", {})
+
+    @classmethod
+    def _owning(cls, words: Sequence[str], vectors: np.ndarray) -> "EmbeddingSet":
+        """A set that takes over `vectors`, a new float64 array that no one else holds.
+
+        Validation is that of the constructor; only the defensive copy is skipped.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "vectors", vectors)
+        self.__post_init__(copy=False)
+        return self
 
     @property
     def dim(self) -> int:
@@ -154,13 +171,16 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     """Write the set in the load format.
 
     Values are printed with 17 significant digits, enough to reconstruct each
-    float64 exactly, so load(save(x)) is bit-identical.
+    float64 exactly, so load(save(x)) is bit-identical. A "count dim" header
+    is written only when the loader would take the first row for one.
     """
     row_format = "%s" + " %.17g" * embeddings.dim + "\n"
-    sink.writelines(
-        row_format % (word, *row)
-        for word, row in zip(embeddings.words, embeddings.vectors.tolist())
-    )
+    rows = (row_format % (word, *row)
+            for word, row in zip(embeddings.words, embeddings.vectors.tolist()))
+    head = list(itertools.islice(rows, 2))
+    if len(head) == 2 and _is_header(*head):
+        head.insert(0, f"{len(embeddings)} {embeddings.dim}\n")
+    sink.writelines(itertools.chain(head, rows))
 
 
 def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes]) -> None:
@@ -267,6 +287,26 @@ def top_k_neighbors(
     sims = cosine_matrix(embeddings.vectors[queries], embeddings.vectors[candidates])
     sims[is_query] = -np.inf  # sorts last, past every real cosine
     order = np.argsort(-sims, axis=1, kind="stable")
+    if k == 0:
+        return candidates[order[:, :0]]
+    # A product's cosine is within about dim * eps of the exact one, so two
+    # scores closer than twice that may be in the wrong order, and an exact
+    # tie may not look like one. Such scores that can reach the top k are
+    # rescored with exactly summed products before the final sort.
+    slack = 2 * (embeddings.dim + 4) * np.finfo(np.float64).eps
+    reach = np.take_along_axis(sims, order[:, k - 1:k], axis=1) - slack
+    width = int((sims >= reach).sum(axis=1).max(initial=k))
+    ranked = np.take_along_axis(sims, order[:, :width], axis=1)
+    close = np.zeros(ranked.shape, dtype=bool)
+    near = ranked[:, :-1] - ranked[:, 1:] <= slack
+    close[:, 1:] |= near
+    close[:, :-1] |= near
+    rows, ranks = np.nonzero(close & (ranked >= reach))
+    if rows.size:
+        columns = order[rows, ranks]
+        sims[rows, columns] = exact_cosine_rows(
+            embeddings.vectors[queries[rows]], embeddings.vectors[candidates[columns]])
+        order = np.argsort(-sims, axis=1, kind="stable")
     return candidates[order[:, :k]]
 
 

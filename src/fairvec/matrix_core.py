@@ -7,6 +7,8 @@ given seed, so callers may invoke these concurrently.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +70,22 @@ def solve_ridge(a, b, alpha: float) -> RidgeSolution:
     return RidgeSolution(weights=weights, alpha=alpha)
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
+_row_sums = functools.partial(np.sum, axis=-1)
+
+
+def _squared_norms(x: np.ndarray, sums=_row_sums) -> np.ndarray:
     """Squared Euclidean norm of each row; (near) zero rows get an infinite one.
 
     Dividing a dot product by an infinite norm gives 0, which is the cosine
     defined for a vector with norm below ZERO_NORM_EPS.
     """
-    squares = np.sum(x * x, axis=-1)
+    squares = sums(x * x)
     return np.where(np.sqrt(squares) < ZERO_NORM_EPS, np.inf, squares)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
+def _row_norms(x: np.ndarray, sums=_row_sums) -> np.ndarray:
     """Euclidean norm of each row; (near) zero rows get an infinite norm."""
-    return np.sqrt(_squared_norms(x))
+    return np.sqrt(_squared_norms(x, sums))
 
 
 def _norm_products(squares_u: np.ndarray, squares_v: np.ndarray) -> np.ndarray:
@@ -143,6 +148,25 @@ def cosine_matrix(u, v) -> np.ndarray:
     _check_dims(u_rows, v_rows)
     norm_products = np.outer(_row_norms(u_rows), _row_norms(v_rows))
     return _cosines(u_rows @ v_rows.T, norm_products)[np.ix_(u_where, v_where)]
+
+
+def _exact_sums(rows: np.ndarray) -> np.ndarray:
+    """The sum of each row of a 2-D array, rounded once (math.fsum)."""
+    return np.array([math.fsum(row) for row in rows.tolist()], dtype=np.float64)
+
+
+def exact_cosine_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """cosine_rows for 2-D u and v, with every sum of products rounded once.
+
+    The products are rounded as usual, but no sum depends on summation
+    order or blocking: an exactly zero dot product is 0, and vectors that
+    tie in this arithmetic tie bitwise. Zero rows keep their cosine of 0.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    _check_dims(u, v)
+    norms = [_row_norms(x, _exact_sums) for x in (u, v)]
+    return _cosines(_exact_sums(u * v), norms[0] * norms[1])
 
 
 def cosine_similarity(u, v) -> float:

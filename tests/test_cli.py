@@ -26,6 +26,7 @@ from fairvec import (
     spearman,
 )
 from fairvec.cli import main
+from fairvec.embedding_store import _load_binary
 
 
 @pytest.fixture
@@ -295,6 +296,22 @@ class TestBinaryCopy:
         first = out.read_bytes()
         self.debias(workdir, "d.txt")
         assert out.read_bytes() == first
+
+    def test_header_shaped_output_agrees_with_binary_copy(self, tmp_path):
+        # The definition row "7 1" comes first and the next row has two fields,
+        # so without a header the text would load without that row.
+        emb = tmp_path / "shaped.txt"
+        emb.write_text("3 1\n7 1\nb 0.5\nc 2\n")
+        gender = tmp_path / "gender.txt"
+        gender.write_text("7\n")
+        out = str(tmp_path / "out.txt")
+        assert main(["debias", "--embeddings", str(emb), "--gender-list", str(gender),
+                     "--out", out]) == 0
+        text = load_embeddings(out)
+        digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+        copy = _load_binary(out + ".npz", digest)
+        assert text.words == copy.words == ("7", "b", "c")
+        assert np.array_equal(text.vectors, copy.vectors)
 
 
 class TestEvalCommand:

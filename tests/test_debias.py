@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_planted
 from fairvec import (
@@ -11,12 +13,16 @@ from fairvec import (
     EmbeddingSet,
     HsrConfig,
     InputError,
+    NumericalError,
     approximate_gender_info,
     cosine_similarity,
     hard_debias,
     hsr_debias,
     partition,
+    solve_ridge,
 )
+
+GRID = tuple(float(a) for a in np.logspace(-1, 4, 12))
 
 
 def neutral_rows(result, planted):
@@ -57,6 +63,93 @@ class TestApproximateGenderInfo:
         q, _ = np.linalg.qr(v_d)
         outside = fitted - q @ (q.T @ fitted)
         assert np.max(np.abs(outside)) < 1e-9
+
+
+class TestShrinkageOperator:
+    @given(st.integers(1, 8), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**31 - 1),
+           st.floats(1e-2, 1e3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_ridge_solution(self, d, m, n, seed, alpha):
+        rng = np.random.default_rng(seed)
+        v_d = rng.normal(size=(d, m))
+        v_n = rng.normal(size=(d, n))
+        expected = v_d @ solve_ridge(v_d, v_n, alpha).weights
+        # The Cholesky route loses up to cond(V_d^T V_d + alpha I) * eps.
+        s_max = np.linalg.norm(v_d, 2)
+        tol = 1e-13 * (1.0 + s_max**2 / alpha) * max(1.0, np.abs(v_n).max())
+        assert np.max(np.abs(approximate_gender_info(v_d, v_n, alpha) - expected)) <= tol
+
+    def test_alpha_zero_more_definition_words_than_dims(self):
+        # 120 definition vectors in 50 dims span everything: the fit is v_n itself.
+        rng = np.random.default_rng(40)
+        v_d = rng.normal(size=(50, 120))
+        v_n = rng.normal(size=(50, 30))
+        assert np.max(np.abs(approximate_gender_info(v_d, v_n, 0.0) - v_n)) < 1e-12
+        with pytest.raises(NumericalError):
+            solve_ridge(v_d, v_n, 0.0)
+
+    def test_alpha_zero_rank_deficient_is_projection(self):
+        # 120 definition vectors inside a 10-dim subspace of 50 dims.
+        rng = np.random.default_rng(41)
+        q, _ = np.linalg.qr(rng.normal(size=(50, 10)))
+        v_d = q @ rng.normal(size=(10, 120))
+        v_n = rng.normal(size=(50, 30))
+        fitted = approximate_gender_info(v_d, v_n, 0.0)
+        assert np.max(np.abs(fitted - q @ (q.T @ v_n))) < 1e-12
+
+    def test_hsr_alpha_zero_rank_deficient_does_not_raise(self):
+        rng = np.random.default_rng(42)
+        q, _ = np.linalg.qr(rng.normal(size=(50, 10)))
+        vectors = np.vstack([(q @ rng.normal(size=(10, 120))).T, rng.normal(size=(30, 50))])
+        words = tuple(f"d{i}" for i in range(120)) + tuple(f"w{i}" for i in range(30))
+        embeddings = EmbeddingSet(words=words, vectors=vectors)
+        result = hsr_debias(embeddings, HsrConfig(gender_list=words[:120], alpha=0.0))
+        neutral = vectors[120:]
+        expected = neutral - (neutral @ q) @ q.T
+        assert np.max(np.abs(result.embeddings.vectors[120:] - expected)) < 1e-12
+        assert np.max(np.abs(result.embeddings.vectors[120:] @ q)) < 1e-12
+
+    def test_memoized_fit_gives_identical_results(self, planted):
+        config = HsrConfig(planted.gender_list, alpha=60.0)
+        fresh = [EmbeddingSet(planted.embeddings.words, planted.embeddings.vectors)
+                 for _ in range(2)]
+        first = [hsr_debias(fresh[0], config), hard_debias(fresh[1], config)]
+        for alpha in GRID:
+            hsr_debias(planted.embeddings, HsrConfig(planted.gender_list, alpha))
+        again = [hsr_debias(planted.embeddings, config), hard_debias(planted.embeddings, config)]
+        for one, other in zip(first, again):
+            assert np.array_equal(one.embeddings.vectors, other.embeddings.vectors)
+            assert one.gender_norm == other.gender_norm
+            assert one.config == other.config
+
+    def test_gender_lists_do_not_share_a_fit(self, planted):
+        shorter = planted.gender_list[:3]
+        config = HsrConfig(shorter, alpha=1.0)
+        expected = hsr_debias(EmbeddingSet(planted.embeddings.words, planted.embeddings.vectors),
+                              config)
+        full = hsr_debias(planted.embeddings, HsrConfig(planted.gender_list, alpha=1.0))
+        result = hsr_debias(planted.embeddings, config)
+        assert np.array_equal(result.embeddings.vectors, expected.embeddings.vectors)
+        assert not np.array_equal(result.embeddings.vectors, full.embeddings.vectors)
+        assert result.config["gender_words_in_vocab"] == 3
+
+    def test_gender_norm_non_increasing_on_grid_and_hard_idempotent(self, planted):
+        norms = [hsr_debias(planted.embeddings, HsrConfig(planted.gender_list, alpha)).gender_norm
+                 for alpha in GRID]
+        assert all(n1 >= n2 for n1, n2 in zip(norms, norms[1:]))
+        config = HsrConfig(planted.gender_list)
+        once = hard_debias(planted.embeddings, config)
+        twice = hard_debias(once.embeddings, config)
+        assert np.array_equal(once.embeddings.vectors, twice.embeddings.vectors)
+        assert twice.gender_norm == 0.0
+
+    def test_input_checks(self):
+        with pytest.raises(InputError):
+            approximate_gender_info(np.ones((3, 2)), np.ones((4, 2)), 1.0)
+        with pytest.raises(InputError):
+            approximate_gender_info(np.ones((3, 2)), np.ones((3, 2)), -1.0)
+        with pytest.raises(InputError):
+            approximate_gender_info(np.full((3, 2), np.nan), np.ones((3, 2)), 1.0)
 
 
 class TestHsrDebias:

@@ -161,6 +161,31 @@ class TestSave:
         save_embeddings(embeddings, sink)
         assert sink.getvalue().encode("utf-8") == expected.encode("utf-8")
 
+    @pytest.mark.parametrize("words, vectors", [
+        (("7", "b", "c"), [[1.0], [0.5], [2.0]]),
+        (("12", "x"), [[1.0], [3.0]]),
+    ])
+    def test_header_shaped_first_row_round_trips(self, words, vectors):
+        # "7 1" followed by a two-field row reads as a "count dim" header, so
+        # the writer puts a real header in front of it.
+        original = EmbeddingSet(words=words, vectors=vectors)
+        sink = io.StringIO()
+        save_embeddings(original, sink)
+        assert sink.getvalue().startswith(f"{len(words)} 1\n{words[0]} 1\n")
+        reloaded = load_text(sink.getvalue())
+        assert reloaded.words == original.words
+        assert np.array_equal(reloaded.vectors, original.vectors)
+
+    @pytest.mark.parametrize("words, vectors", [
+        (("7", "b"), [[2.0], [0.5]]),  # "7 2" would need a three-field second row
+        (("7",), [[1.0]]),  # a single line is never taken for a header
+        (("a", "b"), [[1.0], [0.5]]),
+    ])
+    def test_unambiguous_first_row_gets_no_header(self, words, vectors):
+        sink = io.StringIO()
+        save_embeddings(EmbeddingSet(words=words, vectors=vectors), sink)
+        assert sink.getvalue().split("\n")[0].split(" ")[0] == words[0]
+
 
 class TestEmbeddingSet:
     def test_duplicate_words_rejected(self):
@@ -268,6 +293,17 @@ class TestNearestNeighbors:
         embeddings = EmbeddingSet(words=tuple(f"w{i}" for i in range(10)), vectors=vectors)
         ours = nearest_neighbors(embeddings, query, k)
         assert ours == oracles.neighbors_oracle(vectors, query, k, range(10))
+
+    def test_exactly_orthogonal_rows_tie_by_index(self):
+        # Rows 5 and 6 are both exactly orthogonal to query 3 (0.1 * 0.6 - 0.6 * 0.1
+        # is 0 in floating point), but a fused multiply-add in the matrix product
+        # gives row 6 a cosine of 1.8e-18; the tie must still go to row 5.
+        rng = np.random.default_rng(8388607)
+        vectors = np.round(rng.normal(size=(10, 3)), 1)
+        embeddings = EmbeddingSet(words=tuple(f"w{i}" for i in range(10)), vectors=vectors)
+        assert nearest_neighbors(embeddings, 3, 5) == [2, 7, 1, 9, 5]
+        assert nearest_neighbors(embeddings, 3, 5) == oracles.neighbors_oracle(
+            vectors, 3, 5, range(10))
 
     def test_prefix_property(self):
         rng = np.random.default_rng(10)

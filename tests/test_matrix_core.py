@@ -21,7 +21,7 @@ from fairvec import (
     spearman,
     train_linear_classifier,
 )
-from fairvec.matrix_core import _lloyd, average_ranks, cosine_rows
+from fairvec.matrix_core import _lloyd, average_ranks, cosine_rows, exact_cosine_rows
 
 
 class TestSolveRidge:
@@ -343,3 +343,21 @@ class TestLinearClassifier:
         second = train_linear_classifier(x, y, seed=9)
         assert np.array_equal(first.weights, second.weights)
         assert first.bias == second.bias
+
+
+class TestExactCosineRows:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 40))
+    @settings(max_examples=100)
+    def test_matches_fsum_oracle_bitwise(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        u = np.round(rng.normal(size=(6, dim)), 1)
+        v = np.round(rng.normal(size=(6, dim)), 1)
+        u[0] = 0.0
+        v[1] = -u[1]
+        expected = [min(1.0, max(-1.0, oracles.cosine_oracle(a, b))) for a, b in zip(u, v)]
+        assert exact_cosine_rows(u, v).tolist() == expected
+
+    def test_exact_zero_dot_product(self):
+        u = np.array([[0.1, 0.6, 0.0]])
+        v = np.array([[0.6, -0.1, 3.0]])
+        assert exact_cosine_rows(u, v)[0] == 0.0

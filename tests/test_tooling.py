@@ -71,3 +71,35 @@ def test_trace_counts_text_loads_only(tmp_path):
     assert "cli.cmd_eval" in names[debias_spans:]
     assert "embedding_store.load_embeddings" not in names[debias_spans:]
     assert "embedding_store.EmbeddingSet" in names[debias_spans:]
+
+
+def test_alpha_sweep_fits_once(monkeypatch):
+    # The alpha-sweep workload times hsr_debias over 12 alphas plus one hard_debias
+    # on one set; all of them share one SVD of the definition rows and none
+    # goes through the ridge solve.
+    import sys
+
+    import numpy as np
+    from conftest import build_planted
+    from fairvec import HsrConfig, hard_debias, hsr_debias
+
+    calls = {"svd": 0, "solve_ridge": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    solve_ridge = sys.modules["fairvec.matrix_core"].solve_ridge
+    counted_solve = counting("solve_ridge", solve_ridge)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fairvec") and getattr(module, "solve_ridge", None) is solve_ridge:
+            monkeypatch.setattr(module, "solve_ridge", counted_solve)
+
+    planted = build_planted(n_neutral=200, dim=20, n_definition=6, seed=5)
+    for alpha in np.logspace(-1, 4, 12):
+        hsr_debias(planted.embeddings, HsrConfig(planted.gender_list, float(alpha)))
+    hard_debias(planted.embeddings, HsrConfig(planted.gender_list))
+    assert calls == {"svd": 1, "solve_ridge": 0}

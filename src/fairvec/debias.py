@@ -89,8 +89,8 @@ def _debias(embeddings, part, rows, basis, singular, alpha, method, settings) ->
     config = {**settings, "gender_words_in_vocab": int(part.definition_indices.size),
               "gender_words_missing": part.missing,
               "gender_words_missing_names": list(part.missing_words)}
-    return DebiasResult(EmbeddingSet._owning(embeddings.words, vectors), method,
-                        gender_norm, config)
+    return DebiasResult(EmbeddingSet._owning(embeddings.words, vectors, embeddings._index),
+                        method, gender_norm, config)
 
 
 def hsr_debias(embeddings: EmbeddingSet, config: HsrConfig) -> DebiasResult:

@@ -25,6 +25,10 @@ from .matrix_core import cosine_matrix, exact_cosine_rows
 
 LineSource = Union[str, os.PathLike, Iterable[str]]
 
+# Rows per np.loadtxt call in load_embeddings: a load holds the matrix plus
+# about one block of text and parse buffers.
+_BLOCK_ROWS = 1024
+
 
 def _lines(source: LineSource) -> Iterator[str]:
     """Yield the lines of a file path or of an iterable of lines."""
@@ -46,7 +50,7 @@ class EmbeddingSet:
     # changes, so a fit stays valid for its lifetime.
     _debias_fits: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, copy: bool = True):
+    def __post_init__(self, index: dict[str, int] | None = None):
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise InputError("vectors must be a 2-D array of shape (|V|, dim)")
@@ -57,12 +61,12 @@ class EmbeddingSet:
             raise InputError(
                 f"{len(words)} words but {vectors.shape[0]} vector rows"
             )
-        index = {}
-        for i, w in enumerate(words):
-            if w in index:
-                raise InputError(f"duplicate token {w!r}")
-            index[w] = i
-        if copy:
+        if index is None:
+            index = {}
+            for i, w in enumerate(words):
+                if w in index:
+                    raise InputError(f"duplicate token {w!r}")
+                index[w] = i
             vectors = vectors.copy()
         vectors.setflags(write=False)
         object.__setattr__(self, "words", words)
@@ -71,15 +75,19 @@ class EmbeddingSet:
         object.__setattr__(self, "_debias_fits", {})
 
     @classmethod
-    def _owning(cls, words: Sequence[str], vectors: np.ndarray) -> "EmbeddingSet":
-        """A set that takes over `vectors`, a new float64 array that no one else holds.
+    def _owning(cls, words: tuple[str, ...], vectors: np.ndarray,
+                index: dict[str, int]) -> "EmbeddingSet":
+        """A set that takes over `vectors`, a new float64 array that no one else
+        holds, and `index`, the word -> row map of `words` that the caller has
+        already checked for duplicates.
 
-        Validation is that of the constructor; only the defensive copy is skipped.
+        Shape and finiteness are checked as by the constructor; the duplicate
+        check and the defensive copy are skipped.
         """
         self = cls.__new__(cls)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "vectors", vectors)
-        self.__post_init__(copy=False)
+        self.__post_init__(index)
         return self
 
     @property
@@ -122,49 +130,97 @@ def _is_header(first: str, second: str) -> bool:
     )
 
 
+def _parse_block(block: list[tuple[int, str]], dim: int,
+                 index: dict[str, int]) -> np.ndarray | None:
+    """The rows of a block of (line number, line) pairs, parsed by numpy's C
+    tokenizer, with their tokens added to `index`.
+
+    None, and `index` unchanged, when a line breaks a rule or holds a form
+    that the C parser reads differently from Python's float: it also strips
+    the separators \\x1c-\\x1f from a field. The C parser checks that every
+    row has as many fields as the first.
+    """
+    tokens, rests = [], []
+    for _, line in block:
+        token, _, rest = line.rstrip().partition(" ")
+        if "\x1c" in rest or "\x1d" in rest or "\x1e" in rest or "\x1f" in rest:
+            return None
+        tokens.append(token)
+        rests.append(rest)
+    if (not all(rests) or len(set(tokens)) != len(tokens)
+            or not index.keys().isdisjoint(tokens)):
+        return None
+    try:
+        rows = np.loadtxt(rests, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (len(block), dim) or not np.all(np.isfinite(rows)):
+        return None
+    index.update(zip(tokens, range(len(index), len(index) + len(tokens))))
+    return rows
+
+
+def _parse_lines(block: list[tuple[int, str]], dim: int,
+                 index: dict[str, int]) -> np.ndarray:
+    """The rows of a block by the per-line rules, with their tokens added to
+    `index`; ParseError names the first line that breaks one."""
+    rows = np.empty((len(block), dim))
+    for i, (lineno, line) in enumerate(block):
+        values = line.rstrip().split(" ")
+        token = values.pop(0)
+        if len(values) != dim:
+            raise ParseError(
+                f"line {lineno}: expected {dim} vector components, got {len(values)}"
+            )
+        if token in index:
+            raise ParseError(f"line {lineno}: duplicate token {token!r}")
+        index[token] = len(index)
+        try:
+            rows[i] = np.asarray(values, dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric vector component") from None
+        if not np.all(np.isfinite(rows[i])):
+            raise ParseError(f"line {lineno}: non-finite vector component")
+    return rows
+
+
 def load_embeddings(source: LineSource, max_words: int | None = None) -> EmbeddingSet:
     """Parse an embedding file or text stream; dimension is inferred from the first row.
 
     A first line of two integers is a "count dim" header, and is skipped,
     when the line after it has dim components. Trailing whitespace on a row
-    is ignored.
+    is ignored. Rows are parsed in fixed blocks into one growing matrix; a
+    block that numpy's C parser cannot take is read line by line, so a
+    ParseError names the first bad line and Python's float forms (1_0) load.
     """
-    words: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    dim: int | None = None
     lines = enumerate(_lines(source), start=1)
     head = list(itertools.islice(lines, 2))
     if len(head) == 2 and _is_header(head[0][1], head[1][1]):
         del head[0]
-    for lineno, line in itertools.chain(head, lines):
-        if max_words is not None and len(words) >= max_words:
+    lines = itertools.chain(head, lines)
+    index: dict[str, int] = {}
+    vectors = None
+    while True:
+        size = _BLOCK_ROWS if max_words is None else min(_BLOCK_ROWS, max_words - len(index))
+        block = list(itertools.islice(lines, max(size, 0)))
+        if not block:
             break
-        parts = line.rstrip().split(" ")
-        token = parts[0]
-        values = parts[1:]
-        if dim is None:
-            dim = len(values)
+        if vectors is None:
+            lineno, line = block[0]
+            dim = line.rstrip().count(" ")
             if dim == 0:
                 raise ParseError(f"line {lineno}: no vector components found")
-        elif len(values) != dim:
-            raise ParseError(
-                f"line {lineno}: expected {dim} vector components, got {len(values)}"
-            )
-        if token in seen:
-            raise ParseError(f"line {lineno}: duplicate token {token!r}")
-        seen.add(token)
-        try:
-            row = np.asarray(values, dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric vector component") from None
-        if not np.all(np.isfinite(row)):
-            raise ParseError(f"line {lineno}: non-finite vector component")
-        words.append(token)
-        rows.append(row)
-    if not words:
+            vectors = np.empty((0, dim))
+        rows = _parse_block(block, dim, index)
+        if rows is None:
+            rows = _parse_lines(block, dim, index)
+        start = len(vectors)
+        # No view of the buffer is alive here, so it may move.
+        vectors.resize((start + len(rows), dim), refcheck=False)
+        vectors[start:] = rows
+    if vectors is None:
         raise ParseError("empty embedding input")
-    return EmbeddingSet(words=tuple(words), vectors=np.vstack(rows))
+    return EmbeddingSet._owning(tuple(index), vectors, index)
 
 
 def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:

@@ -133,3 +133,49 @@ def weat_exact(s, nx):
         if chosen - rest >= observed:
             count += 1
     return observed, count / n_partitions
+
+
+class LoadOracleError(ValueError):
+    """Raised by load_embeddings_oracle with the loader's ParseError message."""
+
+
+def load_embeddings_oracle(lines, max_words=None):
+    """Words and (n, dim) vectors of embedding text, one line at a time.
+
+    The reference for fairvec.load_embeddings: each row is split on single
+    spaces after trailing whitespace is stripped, and its values are
+    converted by np.asarray, which reads each string as Python's float does.
+    """
+    numbered = list(enumerate(lines, start=1))
+    if len(numbered) >= 2:
+        fields = numbered[0][1].rstrip().split(" ")
+        if (len(fields) == 2 and all(f.isdecimal() for f in fields)
+                and len(numbered[1][1].rstrip().split(" ")) == int(fields[1]) + 1):
+            del numbered[0]
+    words, rows, seen, dim = [], [], set(), None
+    for lineno, line in numbered:
+        if max_words is not None and len(words) >= max_words:
+            break
+        parts = line.rstrip().split(" ")
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise LoadOracleError(f"line {lineno}: no vector components found")
+        elif len(values) != dim:
+            raise LoadOracleError(
+                f"line {lineno}: expected {dim} vector components, got {len(values)}")
+        if token in seen:
+            raise LoadOracleError(f"line {lineno}: duplicate token {token!r}")
+        seen.add(token)
+        try:
+            row = np.asarray(values, dtype=np.float64)
+        except ValueError:
+            raise LoadOracleError(f"line {lineno}: non-numeric vector component") from None
+        if not np.all(np.isfinite(row)):
+            raise LoadOracleError(f"line {lineno}: non-finite vector component")
+        words.append(token)
+        rows.append(row)
+    if not words:
+        raise LoadOracleError("empty embedding input")
+    return tuple(words), np.vstack(rows)

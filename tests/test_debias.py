@@ -170,6 +170,17 @@ class TestHsrDebias:
         assert result.embeddings.dim == planted.embeddings.dim
         assert result.method == "hsr"
 
+    @pytest.mark.parametrize("method", [hsr_debias, hard_debias])
+    def test_result_reuses_the_source_word_index(self, planted, method):
+        # the words are unchanged, so the validated index is shared, not rebuilt
+        result = method(planted.embeddings, HsrConfig(gender_list=planted.gender_list))
+        assert result.embeddings._index is planted.embeddings._index
+        assert result.embeddings._index == {
+            word: i for i, word in enumerate(result.embeddings.words)}
+        assert not result.embeddings.vectors.flags.writeable
+        with pytest.raises(InputError, match="duplicate"):
+            EmbeddingSet(words=("m0", "m0"), vectors=result.embeddings.vectors[:2])
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 60.0])
     def test_definition_rows_bitwise_unchanged(self, planted, alpha):
         config = HsrConfig(gender_list=planted.gender_list, alpha=alpha)

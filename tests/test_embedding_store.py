@@ -16,6 +16,7 @@ from fairvec import (
     EmbeddingSet,
     InputError,
     ParseError,
+    embedding_store,
     load_embeddings,
     load_word_list,
     nearest_neighbors,
@@ -102,6 +103,111 @@ class TestLoad:
         embeddings = load_text("2 2\na 1.0 0.5 \nb -1.0 2.0 \r\n")
         assert embeddings.words == ("a", "b")
         assert np.array_equal(embeddings.vectors, [[1.0, 0.5], [-1.0, 2.0]])
+
+    def test_python_float_forms_kept(self):
+        # numpy's C parser rejects these; the per-line rules read them as float does
+        embeddings = load_text("a 1_0 ١٢\nb 3 4\n")
+        assert np.array_equal(embeddings.vectors, [[10.0, 12.0], [3.0, 4.0]])
+
+    def test_separator_controls_rejected(self):
+        # numpy's C parser strips \x1c-\x1f around a field; float does not
+        with pytest.raises(ParseError, match="line 2: non-numeric"):
+            load_text("a 1 2\nb 3\x1c 4\n")
+
+    def test_error_names_first_bad_line_across_blocks(self):
+        block = embedding_store._BLOCK_ROWS
+        lines = [f"w{i} {i}.5" for i in range(block + 3)]
+        lines[block + 1] = "w0 1.0"  # duplicate in the second block
+        lines[block - 1] = "bad nan"  # non-finite in the first
+        with pytest.raises(ParseError, match=f"line {block}: non-finite"):
+            load_text("\n".join(lines))
+
+    def test_duplicate_across_blocks(self):
+        block = embedding_store._BLOCK_ROWS
+        lines = [f"w{i} {i}.5" for i in range(block + 2)]
+        lines[block + 1] = "w3 1.0"
+        with pytest.raises(ParseError, match=f"line {block + 2}: duplicate token 'w3'"):
+            load_text("\n".join(lines))
+
+    def test_short_row_alone_in_last_block(self):
+        # a one-row block parses to a (1, 1) array, which would broadcast into (1, 2)
+        block = embedding_store._BLOCK_ROWS
+        lines = [f"w{i} {i} 0.5" for i in range(block)] + ["last 7"]
+        with pytest.raises(ParseError, match=f"line {block + 1}: expected 2 vector components"):
+            load_text("\n".join(lines))
+
+
+BLOCK = embedding_store._BLOCK_ROWS
+ODD_VALUES = ("nan", "inf", "-inf", "1e400", "1_0", "١٢", "٣.٥", "1\x1c", "\x1d2", "3\x1f",
+              "x", "", "0x1", "-0.0", "1e-400", "+.5")
+
+
+@st.composite
+def embedding_texts(draw):
+    """Embedding text near block boundaries with a few drawn defects, a max_words and
+    the block size to load it with: the loader's own, or a small one for many blocks."""
+    block = draw(st.sampled_from([BLOCK, BLOCK, 2, 3]))
+    n_rows = draw(st.sampled_from([1, 2, block - 1, block, block + 1, 2 * block + 1]))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    digits = draw(st.sampled_from(["%.17g", "%.6f", "%g"]))
+    rows = [[f"w{i}", *(digits % v for v in rng.normal(size=dim))] for i in range(n_rows)]
+    # rows at block edges, where a block may hold a single row, or anywhere
+    edges = sorted({0, min(block, n_rows) - 1, n_rows - 1})
+    pick_row = st.one_of(st.sampled_from(edges), st.integers(0, n_rows - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        row = rows[draw(pick_row)]
+        col = draw(st.integers(1, dim))
+        kind = draw(st.sampled_from(["value"] * 4 + ["duplicate"] * 2 + [
+            "tab", "double space", "trailing", "drop", "token only", "blank", "integer"]))
+        if col >= len(row) and kind in ("value", "tab", "double space"):
+            continue  # a value an earlier edit removed
+        if kind == "value":
+            row[col] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "tab":
+            row[col] = "\t" + row[col]
+        elif kind == "double space":
+            row[col] = " " + row[col]
+        elif kind == "trailing":
+            row[-1] += draw(st.sampled_from([" ", "  ", "\t", " \r"]))
+        elif kind == "duplicate":
+            row[0] = rows[draw(pick_row)][0]
+        elif kind == "drop":
+            del row[max(len(row) - 1, 1):]  # the last value, never the token
+        elif kind == "token only":
+            del row[1:]
+        elif kind == "blank":
+            row[:] = [""]
+        else:  # a decimal-integer row, as a "count dim" header is
+            row[:] = [str(draw(st.integers(0, 9))), *(["1"] * dim)]
+    lines = [" ".join(row) for row in rows]
+    header = draw(st.sampled_from([None, "count dim", "count dim+1"]))
+    if header:
+        lines.insert(0, f"{n_rows} {dim + (header == 'count dim+1')}")
+    ending = draw(st.sampled_from(["\n", " \n", "\r\n"]))
+    max_words = draw(st.sampled_from([None] * 6 + [-1, 0, 1, block - 1, block, block + 1]))
+    return "".join(line + ending for line in lines), max_words, block
+
+
+class TestLoadMatchesLineOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(embedding_texts())
+    def test_same_words_bits_or_error(self, case):
+        text, max_words, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding_store, "_BLOCK_ROWS", block)
+            try:
+                words, vectors = oracles.load_embeddings_oracle(io.StringIO(text), max_words)
+            except oracles.LoadOracleError as error:
+                with pytest.raises(ParseError) as raised:
+                    load_text(text, max_words=max_words)
+                assert str(raised.value) == str(error)
+                return
+            loaded = load_text(text, max_words=max_words)
+        assert loaded.words == words
+        assert loaded.vectors.shape == vectors.shape
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert loaded._index == {word: i for i, word in enumerate(words)}
 
 
 class TestSave:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fairvec import (
@@ -135,6 +137,27 @@ class TestSentenceEmbedding:
         with_oov = sentence_embedding(vocab10, ["w0", "ghost", "w1"])
         without = sentence_embedding(vocab10, ["w0", "w1"])
         assert np.array_equal(with_oov, without)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda dim: st.lists(
+            st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(-1e6, 1e6, allow_subnormal=True)),
+                     min_size=dim, max_size=dim),
+            min_size=1, max_size=8)),
+        st.lists(st.integers(0, 9), min_size=1, max_size=12),
+    )
+    def test_bitwise_equal_to_mean(self, rows, picks):
+        # Single-token sentences, repeated tokens and -0.0 entries included;
+        # picks past the last row are out-of-vocabulary tokens.
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(len(rows))), np.array(rows))
+        sentence = [f"w{i}" for i in picks]
+        known = sorted(embeddings.index(w) for w in sentence if w in embeddings)
+        result = sentence_embedding(embeddings, sentence)
+        if not known:
+            assert result.tobytes() == np.zeros(embeddings.dim).tobytes()
+        else:
+            assert result.tobytes() == embeddings.vectors[known].mean(axis=0).tobytes()
 
 
 class TestStsEval:

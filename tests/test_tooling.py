@@ -103,3 +103,44 @@ def test_alpha_sweep_fits_once(monkeypatch):
         hsr_debias(planted.embeddings, HsrConfig(planted.gender_list, float(alpha)))
     hard_debias(planted.embeddings, HsrConfig(planted.gender_list))
     assert calls == {"svd": 1, "solve_ridge": 0}
+
+
+def test_benchmark_and_saved_text_take_the_block_parser(monkeypatch, tmp_path):
+    # load_embeddings reads a block line by line only when numpy's C parser
+    # cannot take it; the text the benchmark loads and the text save_embeddings
+    # writes must never need that, or every load would silently slow down.
+    import sys
+
+    import numpy as np
+    from fairvec import EmbeddingSet, embedding_store, load_embeddings, save_embeddings
+
+    spec = importlib.util.spec_from_file_location("perfbench_gen", SPANS.parent / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up
+    spec.loader.exec_module(gen)
+
+    def refuse(block, *args):
+        raise AssertionError(f"line {block[0][0]}: block re-read line by line")
+
+    monkeypatch.setattr(embedding_store, "_parse_lines", refuse)
+    block = embedding_store._BLOCK_ROWS
+    definition, neutral, vectors, _ = gen.planted_matrix(np.random.default_rng(0), block)
+    generated = tmp_path / "generated.txt"
+    generated.write_text(gen.format_rows(definition + neutral, vectors), encoding="utf-8")
+    loaded = load_embeddings(generated)
+    assert loaded.words == tuple(definition + neutral)
+    assert np.array_equal(loaded.vectors, vectors)
+
+    rng = np.random.default_rng(1)
+    header_shaped = EmbeddingSet(tuple(["7"] + [f"w{i}" for i in range(block + 4)]),
+                                 np.vstack([[1.0], rng.normal(size=(block + 4, 1))]))
+    wide = EmbeddingSet(tuple(f"w{i}" for i in range(block + 4)),
+                        rng.normal(size=(block + 4, 300)) * np.logspace(-300, 300, 300))
+    for embeddings, first_line in ((header_shaped, f"{block + 5} 1"), (wide, "w0 ")):
+        saved = tmp_path / "saved.txt"
+        with open(saved, "w", encoding="utf-8") as sink:
+            save_embeddings(embeddings, sink)
+        assert saved.read_text(encoding="utf-8").startswith(first_line)
+        loaded = load_embeddings(saved)
+        assert loaded.words == embeddings.words
+        assert loaded.vectors.tobytes() == embeddings.vectors.tobytes()

@@ -4,7 +4,6 @@ from types import ModuleType as _ModuleType
 
 from .bias_metrics import (
     BiasedWordLists,
-    BiasReport,
     SemBiasInstance,
     WeatSpec,
     bias_by_neighbors,

@@ -14,7 +14,7 @@ the untouched embedding and then reused when scoring any debiased variant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
@@ -24,7 +24,7 @@ from .embedding_store import (
     EmbeddingSet,
     LineSource,
     WordPartition,
-    _lines,
+    _data_lines,
     top_k_neighbors,
 )
 from .errors import InputError, ParseError
@@ -101,24 +101,6 @@ class WeatSpec:
             attributes_b=self.attributes_b,
             name=self.name,
         )
-
-
-@dataclass
-class BiasReport:
-    """Named metric values plus provenance, as serialized by the CLI."""
-
-    method: str
-    metrics: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    errors: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "metrics": self.metrics,
-            "provenance": self.provenance,
-            "errors": self.errors,
-        }
 
 
 def _rows(embeddings: EmbeddingSet, words: Iterable[str]) -> np.ndarray:
@@ -383,10 +365,7 @@ def load_sembias(source: LineSource) -> list[SemBiasInstance]:
     instance as part of the held-out subset. '#' lines are ignored.
     """
     instances = []
-    for lineno, line in enumerate(_lines(source), start=1):
-        line = line.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _data_lines(source):
         fields = line.split("\t")
         subset = False
         if len(fields) == 5:
@@ -419,10 +398,8 @@ def load_weat_spec(source: LineSource, name: str = "") -> WeatSpec:
     """Parse a WEAT spec file: [section] headers with one token per line."""
     sections: dict[str, list[str]] = {key: [] for key in _WEAT_SECTIONS}
     current: str | None = None
-    for lineno, line in enumerate(_lines(source), start=1):
+    for lineno, line in _data_lines(source):
         token = line.strip()
-        if not token or token.startswith("#"):
-            continue
         if token.startswith("name:"):
             name = token[len("name:"):].strip()
             continue

@@ -26,7 +26,6 @@ import tempfile
 from pathlib import Path
 
 from . import bias_metrics, quality_eval
-from .bias_metrics import BiasReport
 from .debias import DEFAULT_ALPHA, HsrConfig, hard_debias, hsr_debias
 from .embedding_store import (
     EmbeddingSet,
@@ -93,10 +92,6 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
-def _open_text(path: str):
-    return open(path, "r", encoding="utf-8")
-
-
 def _binary_path(path: str) -> str:
     return path + ".npz"
 
@@ -110,7 +105,8 @@ def _load_embedding_file(path: str, cap: int | None) -> tuple[EmbeddingSet, dict
     record = _file_record(path)
     embeddings = _load_binary(_binary_path(path), record["sha256"], cap)
     if embeddings is None:
-        with _open_text(path) as handle:
+        # A handle, not the path: the benchmark's tracer sizes the load by its name.
+        with open(path, encoding="utf-8") as handle:
             embeddings = load_embeddings(handle, max_words=cap)
     return embeddings, record
 
@@ -203,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_debias(args: argparse.Namespace) -> int:
     embeddings, embeddings_record = _load_embedding_file(args.embeddings, args.vocab_cap)
-    with _open_text(args.gender_list) as handle:
-        gender_list = load_word_list(handle)
-    config = HsrConfig(gender_list=tuple(gender_list), alpha=args.alpha)
+    config = HsrConfig(gender_list=tuple(load_word_list(args.gender_list)), alpha=args.alpha)
     if args.method == "hsr":
         result = hsr_debias(embeddings, config)
     else:
@@ -231,125 +225,134 @@ def cmd_debias(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_direction(args, embeddings, original, part, report: BiasReport, run) -> None:
-    def projection_bias():
-        lists = bias_metrics.select_biased_words(original, part, args.top_biased)
-        return bias_metrics.mean_abs_projection_bias(
-            embeddings, lists, normalized=args.normalized_projection
-        )
-
-    run("projection_bias", projection_bias)
-
-    if args.sembias:
-        with _open_text(args.sembias) as handle:
-            instances = bias_metrics.load_sembias(handle)
-        report.provenance["datasets"]["sembias"] = _file_record(args.sembias)
-
-        def accuracy():
-            acc, used, skipped = bias_metrics.sembias_eval(embeddings, instances)
-            report.provenance["sembias_counts"] = {"used": used, "skipped": skipped}
-            return acc
-
-        run("sembias_acc", accuracy)
-        subset = [inst for inst in instances if inst.subset]
-        if subset:
-            def subset_accuracy():
-                acc, used, skipped = bias_metrics.sembias_eval(embeddings, subset)
-                report.provenance["sembias_subset_counts"] = {"used": used, "skipped": skipped}
-                return acc
-
-            run("sembias_subset_acc", subset_accuracy)
-
-
-def _eval_relation(args, embeddings, original, part, report: BiasReport, run) -> None:
-    lists = None
+def _run(report: dict, name: str, fn, into: list | None = None) -> None:
+    """Store fn() under report["metrics"][name], or append it to `into`; the
+    text of a FairvecError it raises goes under report["errors"][name] instead."""
     try:
-        lists = bias_metrics.select_biased_words(original, part, args.top_biased)
+        value = fn()
     except FairvecError as exc:
-        for name in ("gbwr_purity", "gbwr_correlation", "gbwr_profession"):
-            if name != "gbwr_profession" or args.professions:
-                report.errors[name] = f"biased-word selection failed: {exc}"
+        report["errors"][name] = str(exc)
+        return
+    if into is None:
+        report["metrics"][name] = value
+    else:
+        into.append(value)
 
-    if lists is not None:
-        run("gbwr_purity", lambda: bias_metrics.gbwr_clustering(embeddings, lists, args.seed))
-        run("gbwr_correlation", lambda: bias_metrics.gbwr_correlation(
-            embeddings, lists, original, k=args.neighbors,
-            normalized=args.normalized_projection))
-        if args.professions:
-            with _open_text(args.professions) as handle:
-                professions = load_word_list(handle)
-            report.provenance["datasets"]["professions"] = _file_record(args.professions)
 
-            def profession():
-                correlation, points = bias_metrics.gbwr_profession(
-                    embeddings, professions, lists, original, k=args.neighbors,
-                    normalized=args.normalized_projection)
-                _write_profession_tsv(_profession_tsv_path(args.out), points)
-                report.provenance["profession_counts"] = {
-                    "used": len(points),
-                    "skipped": len(professions) - len(points),
-                }
-                return correlation
+def _each_dataset(report: dict, kind: str, metric: str, sources, load, score) -> list:
+    """(name, score(name, load(path, name), i)) for the i-th (name, path) of
+    `sources`, in argument order, leaving out those that fail.
 
-            run("gbwr_profession", profession)
+    Each path is hashed into provenance.datasets as "<kind>:<name>"; a
+    dataset that fails to parse or score is the error "<metric>:<name>".
+    """
+    scored: list = []
+    for index, (name, path) in enumerate(sources):
+        report["provenance"]["datasets"][f"{kind}:{name}"] = _file_record(path)
+        _run(report, f"{metric}:{name}",
+             lambda: (name, score(name, load(path, name), index)), into=scored)
+    return scored
 
-    weat_results = []
-    for index, path in enumerate(args.weat):
-        name = Path(path).stem
-        report.provenance["datasets"][f"weat:{name}"] = _file_record(path)
-        try:
-            with _open_text(path) as handle:
-                spec = bias_metrics.load_weat_spec(handle, name=name)
-            statistic, p_value = bias_metrics.weat_test(
-                embeddings, spec, seed=args.seed + WEAT_SEED_OFFSET + index
-            )
-        except FairvecError as exc:
-            report.errors[f"weat_pvalues:{name}"] = str(exc)
-            continue
-        weat_results.append({
-            "name": spec.name or name,
+
+def _eval_direction(args, embeddings, original, part, report: dict) -> None:
+    _run(report, "projection_bias", lambda: bias_metrics.mean_abs_projection_bias(
+        embeddings, bias_metrics.select_biased_words(original, part, args.top_biased),
+        normalized=args.normalized_projection))
+    if not args.sembias:
+        return
+    report["provenance"]["datasets"]["sembias"] = _file_record(args.sembias)
+    instances: list = []
+
+    def accuracy(chosen, counts: str):
+        acc, used, skipped = bias_metrics.sembias_eval(embeddings, chosen)
+        report["provenance"][counts] = {"used": used, "skipped": skipped}
+        return acc
+
+    def full_accuracy():
+        instances.extend(bias_metrics.load_sembias(args.sembias))
+        return accuracy(instances, "sembias_counts")
+
+    _run(report, "sembias_acc", full_accuracy)
+    subset = [inst for inst in instances if inst.subset]
+    if subset:
+        _run(report, "sembias_subset_acc", lambda: accuracy(subset, "sembias_subset_counts"))
+
+
+def _eval_relation(args, embeddings, original, part, report: dict) -> None:
+    # The pool is selected once; each metric that needs it fails with its error.
+    selection: dict = {"metrics": {}, "errors": {}}
+    _run(selection, "lists",
+         lambda: bias_metrics.select_biased_words(original, part, args.top_biased))
+
+    def lists():
+        if selection["errors"]:
+            raise FairvecError(f"biased-word selection failed: {selection['errors']['lists']}")
+        return selection["metrics"]["lists"]
+
+    _run(report, "gbwr_purity",
+         lambda: bias_metrics.gbwr_clustering(embeddings, lists(), args.seed))
+    _run(report, "gbwr_correlation", lambda: bias_metrics.gbwr_correlation(
+        embeddings, lists(), original, k=args.neighbors,
+        normalized=args.normalized_projection))
+
+    if args.professions:
+        def profession():
+            pool = lists()
+            professions = load_word_list(args.professions)
+            report["provenance"]["datasets"]["professions"] = _file_record(args.professions)
+            correlation, points = bias_metrics.gbwr_profession(
+                embeddings, professions, pool, original, k=args.neighbors,
+                normalized=args.normalized_projection)
+            _write_profession_tsv(_profession_tsv_path(args.out), points)
+            report["provenance"]["profession_counts"] = {
+                "used": len(points),
+                "skipped": len(professions) - len(points),
+            }
+            return correlation
+
+        _run(report, "gbwr_profession", profession)
+
+    def weat(stem, spec, index):
+        statistic, p_value = bias_metrics.weat_test(
+            embeddings, spec, seed=args.seed + WEAT_SEED_OFFSET + index)
+        return {
+            "name": spec.name or stem,
             "statistic": statistic,
             "p_value": p_value,
             "significant": p_value < bias_metrics.SIGNIFICANCE_LEVEL,
-        })
-    if weat_results:  # partial results are reported alongside the errors
-        report.metrics["weat_pvalues"] = weat_results
+        }
 
-    run("gbwr_classification_acc", lambda: bias_metrics.gbwr_classification(
+    weat_results = _each_dataset(report, "weat", "weat_pvalues",
+                                 [(Path(path).stem, path) for path in args.weat],
+                                 bias_metrics.load_weat_spec, weat)
+    if weat_results:  # partial results are reported alongside the errors
+        report["metrics"]["weat_pvalues"] = [entry for _, entry in weat_results]
+
+    _run(report, "gbwr_classification_acc", lambda: bias_metrics.gbwr_classification(
         embeddings, part, original, seed=args.seed + CLASSIFY_SEED_OFFSET,
         n_per_gender=args.classify_n, train_per_gender=args.classify_train))
 
 
-def _eval_quality(args, embeddings, report: BiasReport) -> None:
-    word_similarity = {}
-    for name, path in args.wordsim:
-        report.provenance["datasets"][f"wordsim:{name}"] = _file_record(path)
-        try:
-            with _open_text(path) as handle:
-                data = quality_eval.load_word_pairs(handle, name)
-            rho, used, skipped = quality_eval.word_similarity_eval(embeddings, data)
-        except FairvecError as exc:
-            report.errors[f"word_similarity:{name}"] = str(exc)
-            continue
-        word_similarity[name] = {"spearman": rho, "used": used, "skipped": skipped}
-    if word_similarity:
-        report.metrics["word_similarity"] = word_similarity
+def _eval_quality(args, embeddings, report: dict) -> None:
+    def counted(key, evaluate):
+        def score(name, data, index):
+            value, used, skipped = evaluate(embeddings, data)
+            return {key: value, "used": used, "skipped": skipped}
+        return score
 
-    sts = {}
-    for name, path in args.sts:
-        report.provenance["datasets"][f"sts:{name}"] = _file_record(path)
-        try:
-            with _open_text(path) as handle:
-                data = quality_eval.load_sentence_pairs(handle, name)
-            value, used, skipped = quality_eval.sts_eval(embeddings, data)
-        except FairvecError as exc:
-            report.errors[f"sts:{name}"] = str(exc)
-            continue
-        sts[name] = {"pearson_x100": value, "used": used, "skipped": skipped}
+    word_similarity = dict(_each_dataset(
+        report, "wordsim", "word_similarity", args.wordsim, quality_eval.load_word_pairs,
+        counted("spearman", quality_eval.word_similarity_eval)))
+    if word_similarity:
+        report["metrics"]["word_similarity"] = word_similarity
+
+    sts = dict(_each_dataset(
+        report, "sts", "sts", args.sts, quality_eval.load_sentence_pairs,
+        counted("pearson_x100", quality_eval.sts_eval)))
     if sts:
-        report.metrics["sts"] = sts
-        results = sorted((name, entry["pearson_x100"]) for name, entry in sts.items())
-        report.metrics["sts_yearly_average"] = quality_eval.yearly_average(results)
+        report["metrics"]["sts"] = sts
+        _run(report, "sts_yearly_average", lambda: quality_eval.yearly_average(
+            sorted((name, entry["pearson_x100"]) for name, entry in sts.items())))
 
 
 def _profession_tsv_path(report_path: str) -> str:
@@ -378,9 +381,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         original, original_record = _load_embedding_file(args.original_embeddings,
                                                          args.vocab_cap)
 
-    label = args.label or Path(args.embeddings).stem
-    report = BiasReport(method=label)
-    report.provenance = {
+    provenance = {
         "seed": args.seed,
         "metrics_group": args.metrics,
         "embeddings": embeddings_record,
@@ -401,28 +402,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         },
     }
     if args.gender_list:
-        report.provenance["gender_list"] = _file_record(args.gender_list)
-
-    def run(name, fn):
-        try:
-            report.metrics[name] = fn()
-        except FairvecError as exc:
-            report.errors[name] = str(exc)
+        provenance["gender_list"] = _file_record(args.gender_list)
+    report = {
+        "method": args.label or Path(args.embeddings).stem,
+        "metrics": {},
+        "provenance": provenance,
+        "errors": {},
+    }
 
     if args.metrics == "quality":
         _eval_quality(args, embeddings, report)
     else:
-        with _open_text(args.gender_list) as handle:
-            part = partition(original, load_word_list(handle))
+        part = partition(original, load_word_list(args.gender_list))
         group = _eval_direction if args.metrics == "direction" else _eval_relation
-        group(args, embeddings, original, part, report, run)
+        group(args, embeddings, original, part, report)
 
-    _write_json(args.out, report.to_dict())
-    if report.errors:
-        for name, message in sorted(report.errors.items()):
-            print(f"metric {name} failed: {message}", file=sys.stderr)
-        return 1
-    return 0
+    _write_json(args.out, report)
+    for name, message in sorted(report["errors"].items()):
+        print(f"metric {name} failed: {message}", file=sys.stderr)
+    return 1 if report["errors"] else 0
 
 
 def _flatten(value, prefix: str, into: dict) -> None:
@@ -456,7 +454,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     columns = []
     tables = []
     for path in args.reports:
-        with _open_text(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
         flat: dict = {}
         _flatten(document.get("metrics", {}), "", flat)

@@ -7,7 +7,8 @@ lines ignored.
 
 Every loader in the package reads its source through `_lines`: a path (str
 or os.PathLike), opened as UTF-8, or an iterable of lines such as an open
-text file.
+text file. The dataset loaders skip blank and comment lines through
+`_data_lines`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ def _lines(source: LineSource) -> Iterator[str]:
             yield from handle
     else:
         yield from source
+
+
+def _data_lines(source: LineSource) -> Iterator[tuple[int, str]]:
+    """(line number, line without its line break) for each line of `source`
+    that is neither blank nor a comment, one whose first non-blank is "#"."""
+    for lineno, line in enumerate(_lines(source), start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -258,8 +269,9 @@ def _load_binary(path: str, text_sha256: str,
 
     None, so that the caller parses the text instead, when the archive is
     missing or unreadable, was written for other text, is not shaped as
-    _save_binary writes it, or fails EmbeddingSet's validation. Like the
-    text loader, `max_words` keeps the first rows.
+    _save_binary writes it, repeats a word, or fails EmbeddingSet's
+    validation. Like the text loader, `max_words` keeps the first rows. The
+    set takes over the archive's matrix; only a capped load copies its rows.
     """
     try:
         with np.load(path, allow_pickle=False) as archive:
@@ -269,23 +281,24 @@ def _load_binary(path: str, text_sha256: str,
             vectors = archive["vectors"]
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
         return None
-    if vectors.dtype != np.float64 or vectors.ndim != 2 or len(vectors) != len(words):
+    if (vectors.dtype != np.float64 or vectors.ndim != 2 or not vectors.flags.c_contiguous
+            or len(vectors) != len(words)):
         return None
+    words = tuple(words[:max_words])
+    index = dict(zip(words, range(len(words))))
+    if len(index) != len(words):
+        return None
+    if len(words) < len(vectors):
+        vectors = vectors[:len(words)].copy()
     try:
-        return EmbeddingSet(words=tuple(words[:max_words]), vectors=vectors[:max_words])
+        return EmbeddingSet._owning(words, vectors, index)
     except InputError:
         return None
 
 
 def load_word_list(source: LineSource) -> list[str]:
     """One token per line; blank lines and '#' comment lines are ignored."""
-    tokens = []
-    for line in _lines(source):
-        token = line.strip()
-        if not token or token.startswith("#"):
-            continue
-        tokens.append(token)
-    return tokens
+    return [line.strip() for _, line in _data_lines(source)]
 
 
 def partition(embeddings: EmbeddingSet, gender_list: Sequence[str]) -> WordPartition:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding_store import EmbeddingSet, LineSource, _lines
+from .embedding_store import EmbeddingSet, LineSource, _data_lines
 from .errors import InputError, ParseError
 from .matrix_core import cosine_rows, pearson, spearman
 
@@ -110,31 +110,38 @@ def yearly_average(results: Sequence[tuple[str, float]]) -> dict[str, float]:
     return {key: float(np.mean(values)) for key, values in groups.items()}
 
 
-def _data_lines(source: LineSource):
-    for lineno, line in enumerate(_lines(source), start=1):
-        line = line.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line
-
-
-def load_word_pairs(source: LineSource, name: str) -> WordPairDataset:
-    """Parse "word1 TAB word2 TAB score" lines; '#' comments are ignored."""
+def _scored_pairs(source: LineSource, pair) -> tuple:
+    """(first, second, score) per data line "field1 TAB field2 TAB score",
+    where (first, second) = pair(line number, field1, field2)."""
     entries = []
     for lineno, line in _data_lines(source):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        first, second = pair(lineno, fields[0], fields[1])
         try:
             score = float(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: score {fields[2]!r} is not a number") from None
         if not np.isfinite(score):
             raise ParseError(f"line {lineno}: score {fields[2]!r} is not finite")
-        entries.append((fields[0], fields[1], score))
+        entries.append((first, second, score))
+    return tuple(entries)
+
+
+def load_word_pairs(source: LineSource, name: str) -> WordPairDataset:
+    """Parse "word1 TAB word2 TAB score" lines; '#' comments are ignored."""
+    entries = _scored_pairs(source, lambda lineno, first, second: (first, second))
     if not entries:
         raise ParseError(f"word-pair file for {name!r} has no data lines")
-    return WordPairDataset(name=name, entries=tuple(entries))
+    return WordPairDataset(name=name, entries=entries)
+
+
+def _sentences(lineno: int, first: str, second: str) -> tuple:
+    tokens = tuple(first.lower().split()), tuple(second.lower().split())
+    if not all(tokens):
+        raise ParseError(f"line {lineno}: empty sentence")
+    return tokens
 
 
 def load_sentence_pairs(source: LineSource, name: str) -> SentencePairDataset:
@@ -143,22 +150,7 @@ def load_sentence_pairs(source: LineSource, name: str) -> SentencePairDataset:
     Sentences are lowercased and whitespace-tokenized here; the dataset
     records that normalization.
     """
-    entries = []
-    for lineno, line in _data_lines(source):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
-        tokens1 = tuple(fields[0].lower().split())
-        tokens2 = tuple(fields[1].lower().split())
-        if not tokens1 or not tokens2:
-            raise ParseError(f"line {lineno}: empty sentence")
-        try:
-            score = float(fields[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: score {fields[2]!r} is not a number") from None
-        if not np.isfinite(score):
-            raise ParseError(f"line {lineno}: score {fields[2]!r} is not finite")
-        entries.append((tokens1, tokens2, score))
+    entries = _scored_pairs(source, _sentences)
     if not entries:
         raise ParseError(f"sentence-pair file for {name!r} has no data lines")
-    return SentencePairDataset(name=name, entries=tuple(entries), lowercased=True)
+    return SentencePairDataset(name=name, entries=entries, lowercased=True)

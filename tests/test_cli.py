@@ -313,6 +313,38 @@ class TestBinaryCopy:
         assert text.words == copy.words == ("7", "b", "c")
         assert np.array_equal(text.vectors, copy.vectors)
 
+    def test_binary_copy_with_duplicate_words_ignored(self, workdir, text_parses):
+        hsr = self.debias(workdir, "hsr.txt")
+        expected = self.eval_outputs(workdir, hsr, "quality")
+        with np.load(hsr + ".npz") as archive:
+            sha256, vectors = archive["sha256"], archive["vectors"]
+            words = archive["words"].tobytes().decode("utf-8").split("\n")
+        words[1] = words[0]
+        np.savez(hsr + ".npz", sha256=sha256, vectors=vectors,
+                 words=np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8))
+        assert self.eval_outputs(workdir, hsr, "quality") == expected
+        assert text_parses == ["emb.txt", "hsr.txt"]
+
+    def test_binary_copy_load_does_not_copy_the_matrix(self, tmp_path):
+        import tracemalloc
+
+        from fairvec import EmbeddingSet
+        from fairvec.embedding_store import _save_binary
+
+        vectors = np.random.default_rng(0).normal(size=(2000, 300))
+        path = str(tmp_path / "set.npz")
+        with open(path, "wb") as sink:
+            _save_binary(EmbeddingSet(tuple(f"w{i}" for i in range(2000)), vectors),
+                         "digest", sink)
+        tracemalloc.start()
+        try:
+            loaded = _load_binary(path, "digest")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.vectors, vectors)
+        assert peak < 1.5 * vectors.nbytes
+
 
 class TestEvalCommand:
     def run_eval(self, workdir, metrics, out, extra=(), embeddings=None):
@@ -467,6 +499,89 @@ class TestEvalCommand:
         # the rest of the group still computed
         assert report["metrics"]["gbwr_purity"] == 1.0
         assert "gbwr_classification_acc" in report["metrics"]
+
+    @pytest.mark.parametrize("kind, content, dataset, error, message", [
+        ("wordsim", "m0\tm1\n", "wordsim:bad", "word_similarity:bad",
+         "line 1: expected 3 tab-separated fields, got 2"),
+        ("sts", "m0 m1\tm2\tx\n", "sts:2016/bad", "sts:2016/bad",
+         "line 1: score 'x' is not a number"),
+        ("weat", "[bogus]\nm0\n", "weat:bad", "weat_pvalues:bad",
+         "line 1: unknown section 'bogus'"),
+    ])
+    def test_malformed_dataset_is_an_error_entry(self, workdir, capsys, kind, content,
+                                                 dataset, error, message):
+        bad = workdir["dir"] / "bad.tsv"
+        bad.write_text(content)
+        if kind == "weat":
+            extra = ["--weat", workdir["weat"], "--weat", str(bad), "--top-biased", "10",
+                     "--neighbors", "5", "--classify-n", "20", "--classify-train", "5"]
+            metrics, expected = "relation", {
+                "gbwr_purity", "gbwr_correlation", "gbwr_classification_acc", "weat_pvalues"}
+        else:
+            name = "bad" if kind == "wordsim" else "2016/bad"
+            extra = ["--wordsim", f"toy={workdir['wordsim']}",
+                     "--sts", f"2015/planted={workdir['sts']}", f"--{kind}", f"{name}={bad}"]
+            metrics, expected = "quality", {"word_similarity", "sts", "sts_yearly_average"}
+        out = str(workdir["dir"] / "bad.json")
+        code = self.run_eval(workdir, metrics, out, extra=extra)
+        assert code == 1
+        report = read_json(out)
+        assert report["errors"] == {error: message}
+        assert set(report["metrics"]) == expected
+        assert dataset in report["provenance"]["datasets"]
+        if kind == "weat":
+            assert [entry["name"] for entry in report["metrics"]["weat_pvalues"]] == ["planted"]
+        else:
+            assert list(report["metrics"]["word_similarity"]) == ["toy"]
+            assert list(report["metrics"]["sts"]) == ["2015/planted"]
+            assert list(report["metrics"]["sts_yearly_average"]) == ["2015"]
+        assert f"metric {error} failed: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("professions", [False, True])
+    def test_biased_word_selection_failure(self, workdir, capsys, professions):
+        # 30 neutral words per gender, so a pool of 100 per gender cannot be chosen;
+        # the classifier probe picks its own, smaller lists.
+        extra = ["--weat", workdir["weat"], "--top-biased", "100", "--neighbors", "5",
+                 "--classify-n", "20", "--classify-train", "5"]
+        names = ["gbwr_purity", "gbwr_correlation"]
+        if professions:
+            extra += ["--professions", workdir["professions"]]
+            names.append("gbwr_profession")
+        out = str(workdir["dir"] / "sel.json")
+        code = self.run_eval(workdir, "relation", out, extra=extra)
+        assert code == 1
+        report = read_json(out)
+        message = "biased-word selection failed: only 30 male-biased candidates, need 100"
+        assert report["errors"] == {name: message for name in names}
+        assert set(report["metrics"]) == {"weat_pvalues", "gbwr_classification_acc"}
+        assert list(report["provenance"]["datasets"]) == ["weat:weat"]
+        assert not (workdir["dir"] / "sel.professions.tsv").exists()
+        err = capsys.readouterr().err
+        assert all(f"metric {name} failed: {message}" in err for name in names)
+
+    def test_direction_selection_failure(self, workdir):
+        out = str(workdir["dir"] / "dsel.json")
+        code = self.run_eval(workdir, "direction", out, extra=["--top-biased", "100"])
+        assert code == 1
+        report = read_json(out)
+        assert report["errors"] == {
+            "projection_bias": "only 30 male-biased candidates, need 100"}
+        assert report["metrics"] == {}
+
+    def test_malformed_sembias_is_an_error_entry(self, workdir, capsys):
+        bad = workdir["dir"] / "badsem.tsv"
+        bad.write_text("he she definition\tm0 f0 biased\n")
+        out = str(workdir["dir"] / "badsem.json")
+        code = self.run_eval(workdir, "direction", out,
+                             extra=["--sembias", str(bad), "--top-biased", "10"])
+        assert code == 1
+        report = read_json(out)
+        message = "line 1: expected 4 tab-separated pairs, got 2"
+        assert report["errors"] == {"sembias_acc": message}
+        assert set(report["metrics"]) == {"projection_bias"}
+        assert list(report["provenance"]["datasets"]) == ["sembias"]
+        assert "sembias_counts" not in report["provenance"]
+        assert f"metric sembias_acc failed: {message}" in capsys.readouterr().err
 
     def test_gender_list_required_for_relation(self, workdir):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairvec
 import oracles
 from fairvec import (
     ConfigError,
@@ -327,6 +328,20 @@ class TestWordList:
         path = tmp_path / "gender.txt"
         path.write_text("# comment\nhe\nshe\n", encoding="utf-8")
         assert load_word_list(as_path(path)) == ["he", "she"]
+
+
+@pytest.mark.parametrize("load, lines", [
+    (load_word_list, ["he", "she"]),
+    (fairvec.load_sembias, ["he she definition\tm0 f0 biased\tm1 f1 other\tm2 f2 other\tsubset"]),
+    (fairvec.load_weat_spec, ["name: t", "[targets_x]", "a", "b", "[targets_y]", "c", "d",
+                              "[attributes_a]", "e", "[attributes_b]", "f"]),
+    (lambda source: fairvec.load_word_pairs(source, "p"), ["m0\tm1\t5.0", "m2\tf0\t1.5"]),
+    (lambda source: fairvec.load_sentence_pairs(source, "s"), ["A b\tc D\t4.5", "e\tf g\t1"]),
+], ids=["word_list", "sembias", "weat", "word_pairs", "sentence_pairs"])
+def test_dataset_loaders_share_blank_and_comment_rules(load, lines):
+    noise = ["   # indented comment\r\n", " \t \r\n"]
+    noisy = noise + [part for line in lines for part in (line + "\r\n", *noise)]
+    assert load(noisy) == load([line + "\n" for line in lines])
 
 
 class TestPartition:

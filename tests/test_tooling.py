@@ -144,3 +144,39 @@ def test_benchmark_and_saved_text_take_the_block_parser(monkeypatch, tmp_path):
         loaded = load_embeddings(saved)
         assert loaded.words == embeddings.words
         assert loaded.vectors.tobytes() == embeddings.vectors.tobytes()
+
+
+def test_trace_sees_dataset_loads(tmp_path):
+    # The benchmark's per-layer metric quality_eval.load_sentence_pairs.s, and the
+    # split of eval time by layer, read these spans: a dataset load that bypasses
+    # the traced name would read 0 s instead of failing.
+    from conftest import build_planted, write_embedding_file
+    from fairvec import cli
+
+    planted = build_planted(n_neutral=40, dim=8, n_definition=4, seed=3)
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, planted.embeddings)
+    gender = tmp_path / "gender.txt"
+    gender.write_text("\n".join(planted.gender_list) + "\n")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("m0\tm1\t5.0\nm2\tf0\t1.5\nf1\tf2\t4.0\n")
+    sentences = tmp_path / "sents.tsv"
+    sentences.write_text("m0 m1\tm2\t4.5\nf0\tf1 f2\t3.8\nm0 f0\tm1\t2.0\n")
+    sembias = tmp_path / "sembias.tsv"
+    sembias.write_text("he she definition\tm0 f0 biased\tm1 f1 other\tm2 f2 other\n")
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["eval", "--embeddings", str(emb), "--metrics", "quality",
+                         "--wordsim", f"toy={pairs}", "--sts", f"2015/toy={sentences}",
+                         "--out", str(tmp_path / "q.json")]) == 0
+        assert cli.main(["eval", "--embeddings", str(emb), "--metrics", "direction",
+                         "--gender-list", str(gender), "--sembias", str(sembias),
+                         "--top-biased", "5", "--out", str(tmp_path / "d.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    names = {span[0] for span in tracer.spans}
+    assert {"quality_eval.load_word_pairs", "quality_eval.load_sentence_pairs",
+            "bias_metrics.load_sembias"} <= names

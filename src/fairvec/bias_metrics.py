@@ -14,7 +14,7 @@ the untouched embedding and then reused when scoring any debiased variant.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterable, Sequence
 
@@ -31,7 +31,6 @@ from .errors import InputError, ParseError
 from .matrix_core import (
     cosine_matrix,
     cosine_rows,
-    cosine_similarity,
     kmeans,
     pearson,
     purity,
@@ -94,13 +93,7 @@ class WeatSpec:
             raise InputError("attribute sets must be nonempty")
 
     def swapped(self) -> "WeatSpec":
-        return WeatSpec(
-            targets_x=self.targets_y,
-            targets_y=self.targets_x,
-            attributes_a=self.attributes_a,
-            attributes_b=self.attributes_b,
-            name=self.name,
-        )
+        return replace(self, targets_x=self.targets_y, targets_y=self.targets_x)
 
 
 def _rows(embeddings: EmbeddingSet, words: Iterable[str]) -> np.ndarray:
@@ -113,31 +106,36 @@ def gender_direction(embeddings: EmbeddingSet) -> np.ndarray:
     return embeddings.vector("he") - embeddings.vector("she")
 
 
-def bias_by_projection(embeddings: EmbeddingSet, word: str, normalized: bool = False) -> float:
-    """Projection of a word vector on the gender direction.
+def _projections(embeddings: EmbeddingSet, rows: Iterable[int],
+                 normalized: bool = False) -> np.ndarray:
+    """Projection on he - she of each vocabulary row in `rows`: the dot
+    product, or in normalized mode the cosine.
 
-    Raw mode is the plain dot product with he - she; normalized mode is the
-    cosine similarity instead.
+    Each row is reduced on its own, so a word's value does not depend on the
+    batch (a 2-D `@` sends one row to BLAS ddot and more to gemv, which round
+    differently). `rows` is read after he and she are looked up, so a lazy
+    map(embeddings.index, words) raises for the word a per-word loop would.
     """
     direction = gender_direction(embeddings)
-    vector = embeddings.vector(word)
+    vectors = embeddings.vectors[np.fromiter(rows, dtype=np.intp)]
     if normalized:
-        return cosine_similarity(vector, direction)
-    return float(np.dot(vector, direction))
+        return cosine_rows(vectors, direction)
+    return np.einsum("ij,j->i", vectors, direction)
+
+
+def bias_by_projection(embeddings: EmbeddingSet, word: str, normalized: bool = False) -> float:
+    """Projection of one word vector on the gender direction; see _projections."""
+    return float(_projections(embeddings, map(embeddings.index, [word]), normalized)[0])
 
 
 def mean_abs_projection_bias(
     embeddings: EmbeddingSet, lists: BiasedWordLists, normalized: bool = False
 ) -> float:
     """Mean |projection bias| over both biased lists; missing words are skipped."""
-    values = [
-        abs(bias_by_projection(embeddings, w, normalized))
-        for w in lists.all_words()
-        if w in embeddings
-    ]
-    if not values:
+    rows = [embeddings.index(w) for w in lists.all_words() if w in embeddings]
+    if not rows:
         raise InputError("no listed word is present in the vocabulary")
-    return float(np.mean(values))
+    return float(np.mean(np.abs(_projections(embeddings, rows, normalized))))
 
 
 def select_biased_words(
@@ -152,9 +150,8 @@ def select_biased_words(
     """
     if n_per_gender < 1:
         raise InputError("n_per_gender must be >= 1")
-    direction = gender_direction(embeddings)
     neutral = part.neutral_indices
-    proj = embeddings.vectors[neutral] @ direction
+    proj = _projections(embeddings, neutral)
 
     male_mask = proj > 0
     female_mask = proj < 0
@@ -242,6 +239,16 @@ def bias_by_neighbors(
     return float(_male_neighbor_counts(embeddings, [query], lists, k)[0] / k)
 
 
+def _original_bias_and_counts(embeddings: EmbeddingSet, words: Sequence[str],
+                              lists: BiasedWordLists, original: EmbeddingSet, k: int,
+                              normalized: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's projection on the original embedding and its count of
+    male-list words among its k nearest pool members in `embeddings`."""
+    projections = _projections(original, map(original.index, words), normalized)
+    queries = [embeddings.index(w) for w in words]
+    return projections, _male_neighbor_counts(embeddings, queries, lists, k)
+
+
 def gbwr_correlation(
     embeddings: EmbeddingSet,
     lists: BiasedWordLists,
@@ -254,10 +261,9 @@ def gbwr_correlation(
     Projection bias comes from the original embedding; neighbor bias from the
     embedding under evaluation.
     """
-    words = lists.all_words()
-    projections = [bias_by_projection(original, w, normalized) for w in words]
-    queries = [embeddings.index(w) for w in words]
-    return pearson(projections, _male_neighbor_counts(embeddings, queries, lists, k) / k)
+    projections, counts = _original_bias_and_counts(
+        embeddings, lists.all_words(), lists, original, k, normalized)
+    return pearson(projections, counts / k)
 
 
 def gbwr_profession(
@@ -276,15 +282,13 @@ def gbwr_profession(
     coefficient and (word, male_count, original_bias) rows for plotting.
     """
     words = [w for w in professions if w in embeddings and w in original]
-    counts = _male_neighbor_counts(embeddings, [embeddings.index(w) for w in words], lists, k)
-    points = [
-        (word, int(count), bias_by_projection(original, word, normalized))
-        for word, count in zip(words, counts)
-    ]
-    if len(points) < 2:
+    projections, counts = _original_bias_and_counts(
+        embeddings, words, lists, original, k, normalized)
+    if len(words) < 2:
         raise InputError("fewer than 2 professions are present in the vocabulary")
-    correlation = pearson([p[2] for p in points], [p[1] for p in points])
-    return correlation, points
+    # Python ints and floats, so that the rows print as plain numbers
+    points = list(zip(words, counts.tolist(), projections.tolist()))
+    return pearson(projections, counts), points
 
 
 def weat_test(
@@ -412,10 +416,4 @@ def load_weat_spec(source: LineSource, name: str = "") -> WeatSpec:
         if current is None:
             raise ParseError(f"line {lineno}: token before any [section] header")
         sections[current].append(token)
-    return WeatSpec(
-        targets_x=tuple(sections["targets_x"]),
-        targets_y=tuple(sections["targets_y"]),
-        attributes_a=tuple(sections["attributes_a"]),
-        attributes_b=tuple(sections["attributes_b"]),
-        name=name,
-    )
+    return WeatSpec(**{key: tuple(words) for key, words in sections.items()}, name=name)

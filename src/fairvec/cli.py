@@ -36,7 +36,7 @@ from .embedding_store import (
     partition,
     save_embeddings,
 )
-from .errors import FairvecError
+from .errors import FairvecError, ParseError
 
 CLASSIFY_SEED_OFFSET = 1
 WEAT_SEED_OFFSET = 100
@@ -368,8 +368,6 @@ def _write_profession_tsv(path: str, points) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.metrics in ("direction", "relation") and not args.gender_list:
-        raise SystemExit("error: --gender-list is required for direction and relation metrics")
     if args.original_embeddings is None:
         args.original_embeddings = args.embeddings
 
@@ -449,13 +447,16 @@ def _format_cell(value) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if len(args.reports) < 2:
-        raise SystemExit("error: compare needs at least 2 reports")
     columns = []
     tables = []
     for path in args.reports:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                document = json.load(handle)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ParseError(f"{path}: not a JSON report ({exc})") from None
+        if not isinstance(document, dict):
+            raise ParseError(f"{path}: not a JSON report (not an object)")
         flat: dict = {}
         _flatten(document.get("metrics", {}), "", flat)
         name = document.get("method", Path(path).stem)
@@ -482,9 +483,30 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """What makes the command line unusable, found before any file is read."""
+    if args.command == "compare" and len(args.reports) < 2:
+        return "compare needs at least 2 reports"
+    if args.command != "eval":
+        return None
+    if args.metrics in ("direction", "relation") and not args.gender_list:
+        return "--gender-list is required for direction and relation metrics"
+    # A dataset's name keys its provenance, metrics and errors entries.
+    for what, names in (("--weat file stem", [Path(path).stem for path in args.weat]),
+                        ("--wordsim NAME", [name for name, _ in args.wordsim]),
+                        ("--sts NAME", [name for name, _ in args.sts])):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            return f"{what} {repeated[0]!r} is given more than once"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _usage_error(args)
+    if problem:
+        parser.error(problem)
     try:
         return args.func(args)
     except FairvecError as exc:

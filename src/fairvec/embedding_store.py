@@ -32,12 +32,22 @@ _BLOCK_ROWS = 1024
 
 
 def _lines(source: LineSource) -> Iterator[str]:
-    """Yield the lines of a file path or of an iterable of lines."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from handle
-    else:
-        yield from source
+    """Yield the lines of a file path or of an iterable of lines.
+
+    Text that is not UTF-8, from a path or an open handle, is a ParseError.
+    """
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as handle:
+                yield from handle
+        else:
+            yield from source
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", source)
+        where = f"{os.fspath(name)}: " if isinstance(name, (str, os.PathLike)) else ""
+        raise ParseError(
+            f"{where}not UTF-8 text (undecodable byte {exc.object[exc.start]:#04x})"
+        ) from None
 
 
 def _data_lines(source: LineSource) -> Iterator[tuple[int, str]]:
@@ -127,8 +137,12 @@ class WordPartition:
 
     definition_indices: np.ndarray
     neutral_indices: np.ndarray
-    missing: int = 0  # list tokens that were not in the vocabulary
-    missing_words: tuple[str, ...] = ()  # those tokens, in list order
+    missing_words: tuple[str, ...] = ()  # list tokens not in the vocabulary, in list order
+
+    @property
+    def missing(self) -> int:
+        """How many list tokens were not in the vocabulary."""
+        return len(self.missing_words)
 
 
 def _is_header(first: str, second: str) -> bool:
@@ -318,7 +332,6 @@ def partition(embeddings: EmbeddingSet, gender_list: Sequence[str]) -> WordParti
     return WordPartition(
         definition_indices=definition,
         neutral_indices=np.flatnonzero(mask).astype(np.int64),
-        missing=len(missing_words),
         missing_words=missing_words,
     )
 

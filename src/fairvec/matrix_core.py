@@ -18,6 +18,14 @@ from .errors import InputError, NumericalError, UndefinedCorrelationError
 # Vectors with norm below this are treated as zero for cosine purposes.
 ZERO_NORM_EPS = 1e-12
 
+# k-means: restarts, and the Lloyd iteration cap and center-movement tolerance.
+_KMEANS_RESTARTS = 10
+_LLOYD_MAX_ITER = 300
+_LLOYD_TOL = 1e-6
+# Hinge-loss classifier: L2 strength and passes over the training set.
+_CLASSIFIER_L2 = 1e-4
+_CLASSIFIER_EPOCHS = 200
+
 
 @dataclass(frozen=True)
 class RidgeSolution:
@@ -250,12 +258,8 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(
-    points: np.ndarray,
-    centers: np.ndarray,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+def _lloyd(points: np.ndarray,
+           centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     """Lloyd iterations from given centers.
 
     Returns (assignments, centers, sse, sse_history); history records the
@@ -269,7 +273,7 @@ def _lloyd(
     # Distances to the current centers; each iteration's post-update
     # distances serve the next iteration's assignment step.
     d2 = _squared_distances(points, centers)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX_ITER):
         assignments = np.argmin(d2, axis=1)
 
         # A cluster left without members keeps its stale center: degenerate
@@ -284,23 +288,16 @@ def _lloyd(
         d2 = _squared_distances(points, centers)
         sse = float(d2[np.arange(points.shape[0]), assignments].sum())
         history.append(sse)
-        if movement <= tol:
+        if movement <= _LLOYD_TOL:
             break
     return assignments, centers, history[-1], history
 
 
-def kmeans(
-    points,
-    k: int,
-    seed: int,
-    n_restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> np.ndarray:
+def kmeans(points, k: int, seed: int) -> np.ndarray:
     """Cluster points into k groups; returns one cluster index per point.
 
-    Runs Lloyd's algorithm from k-means++ seedings, 10 restarts by default,
-    and keeps the restart with the lowest within-cluster sum of squares.
+    Runs Lloyd's algorithm from _KMEANS_RESTARTS k-means++ seedings and
+    keeps the restart with the lowest within-cluster sum of squares.
     Deterministic for a given seed.
     """
     points = _as_matrix(points, "points")
@@ -310,9 +307,9 @@ def kmeans(
     rng = np.random.default_rng(seed)
     best_assignments: np.ndarray | None = None
     best_sse = np.inf
-    for _ in range(n_restarts):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _kmeanspp_init(points, k, rng)
-        assignments, _, sse, _ = _lloyd(points, centers, max_iter=max_iter, tol=tol)
+        assignments, _, sse, _ = _lloyd(points, centers)
         if sse < best_sse:
             best_sse = sse
             best_assignments = assignments
@@ -353,18 +350,13 @@ class LinearClassifier:
         return (self.decision_function(points) > 0.0).astype(np.int64)
 
 
-def train_linear_classifier(
-    train_points,
-    train_labels,
-    seed: int,
-    l2: float = 1e-4,
-    epochs: int = 200,
-) -> LinearClassifier:
+def train_linear_classifier(train_points, train_labels, seed: int) -> LinearClassifier:
     """Train a binary hinge-loss classifier by per-sample subgradient descent.
 
-    Objective: mean hinge loss + (l2/2)||w||^2 with an unregularized bias.
-    Step size decays as 1/(1 + l2 * t); sample order is reshuffled each epoch
-    from the seed, so training is deterministic.
+    Objective: mean hinge loss + (l2/2)||w||^2 with an unregularized bias,
+    l2 = _CLASSIFIER_L2. Step size decays as 1/(1 + l2 * t); sample order is
+    reshuffled in each of _CLASSIFIER_EPOCHS epochs from the seed, so
+    training is deterministic.
     """
     x = _as_matrix(train_points, "train_points")
     y = np.asarray(train_labels).ravel()
@@ -383,12 +375,12 @@ def train_linear_classifier(
     w = np.zeros(x.shape[1], dtype=np.float64)
     b = 0.0
     t = 0
-    for _ in range(epochs):
+    for _ in range(_CLASSIFIER_EPOCHS):
         for i in rng.permutation(x.shape[0]):
             t += 1
-            eta = 1.0 / (1.0 + l2 * t)
+            eta = 1.0 / (1.0 + _CLASSIFIER_L2 * t)
             margin = signs[i] * (np.dot(w, x[i]) + b)
-            w *= 1.0 - eta * l2
+            w *= 1.0 - eta * _CLASSIFIER_L2
             if margin < 1.0:
                 w += eta * signs[i] * x[i]
                 b += eta * signs[i]

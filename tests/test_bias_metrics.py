@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import build_planted
@@ -32,7 +34,8 @@ from fairvec import (
     sembias_eval,
     weat_test,
 )
-from fairvec.bias_metrics import WEAT_SAMPLES
+from fairvec import bias_metrics
+from fairvec.bias_metrics import WEAT_SAMPLES, _projections
 
 
 def embedding_from(words, vectors) -> EmbeddingSet:
@@ -680,3 +683,112 @@ def test_weat_sampled_p_matches_per_permutation_loop():
         _, p_value = weat_test(embeddings, spec, seed=seed)
         assert p_value == count / (WEAT_SAMPLES + 1)
         assert 0.05 < p_value < 0.95  # a mid-range p, not a trivial one
+
+
+class TestOneProjectionPerWord:
+    """Every projection metric reads a word's value from one batched kernel."""
+
+    @staticmethod
+    def random_set(seed, n_neutral, dim):
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(n_neutral + 2, dim)) * 10.0 ** rng.integers(-3, 4)
+        # repeated vectors: equal projections must tie exactly, at any row position
+        copies = rng.integers(2, n_neutral + 2, size=n_neutral // 3)
+        vectors[copies] = vectors[rng.integers(2, n_neutral + 2, size=copies.size)]
+        words = ["he", "she"] + [f"w{i}" for i in range(n_neutral)]
+        return rng, embedding_from(words, vectors)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.integers(1, 24))
+    @settings(max_examples=80, deadline=None)
+    def test_single_word_equals_batch_bitwise(self, seed, n_neutral, dim):
+        rng, embeddings = self.random_set(seed, n_neutral, dim)
+        n = len(embeddings)
+        for normalized in (False, True):
+            single = np.array([bias_by_projection(embeddings, w, normalized)
+                               for w in embeddings.words])
+            batches = [rng.integers(n, size=1), np.arange(n),
+                       rng.integers(n, size=int(rng.integers(1, 2 * n)))]
+            for rows in batches:
+                batch = _projections(embeddings, rows, normalized)
+                assert batch.tobytes() == single[rows].tobytes()
+
+    @given(st.integers(0, 2**31 - 1), st.integers(4, 40), st.integers(1, 24))
+    @settings(max_examples=80, deadline=None)
+    def test_lists_and_profession_points_use_those_values(self, seed, n_neutral, dim):
+        rng, embeddings = self.random_set(seed, n_neutral, dim)
+        raw = {w: bias_by_projection(embeddings, w) for w in embeddings.words}
+        neutral = embeddings.words[2:]
+        male = sorted((w for w in neutral if raw[w] > 0),
+                      key=lambda w: (-raw[w], embeddings.index(w)))
+        female = sorted((w for w in neutral if raw[w] < 0),
+                        key=lambda w: (raw[w], embeddings.index(w)))
+        n_per_gender = min(len(male), len(female))
+        if n_per_gender == 0:
+            return
+        lists = select_biased_words(embeddings, partition(embeddings, ["he", "she"]),
+                                    n_per_gender)
+        assert lists.male_biased == tuple(male[:n_per_gender])
+        assert lists.female_biased == tuple(female[:n_per_gender])
+
+        professions = list(rng.permutation(embeddings.words))
+        for normalized in (False, True):
+            try:
+                _, points = gbwr_profession(embeddings, professions, lists, embeddings,
+                                            k=1, normalized=normalized)
+            except UndefinedCorrelationError:  # every count equal
+                continue
+            assert [word for word, _, _ in points] == professions
+            for word, _, bias in points:
+                assert type(bias) is float
+                assert repr(bias) == repr(bias_by_projection(embeddings, word, normalized))
+
+    def test_missing_words_raise_in_lookup_order(self):
+        # no "he": the direction lookup fails before any listed word is looked up
+        embeddings = embedding_from(["she", "a", "b"], [[0, 1], [1, 0], [2, 0]])
+        lists = BiasedWordLists(male_biased=("a",), female_biased=("ghost",))
+        for call in (lambda: bias_by_projection(embeddings, "ghost"),
+                     lambda: gbwr_correlation(embeddings, lists, embeddings, k=1)):
+            with pytest.raises(InputError, match="token 'he' not in vocabulary"):
+                call()
+        # with no listed word present, the direction is never needed
+        with pytest.raises(InputError, match="no listed word is present"):
+            mean_abs_projection_bias(
+                embeddings, BiasedWordLists(male_biased=("x",), female_biased=("y",)))
+
+    def test_gender_direction_once_per_metric_call(self, monkeypatch):
+        calls = []
+        real = bias_metrics.gender_direction
+
+        def counting(embeddings):
+            calls.append(embeddings)
+            return real(embeddings)
+
+        monkeypatch.setattr(bias_metrics, "gender_direction", counting)
+        instance = SemBiasInstance(pairs=(("he", "she", "definition"), ("m0", "f0", "biased"),
+                                          ("m1", "f1", "other"), ("m2", "f2", "other")))
+        for n_neutral in (40, 400):
+            planted = build_planted(n_neutral=n_neutral, dim=20, seed=48)
+            embeddings = planted.embeddings
+            part = partition(embeddings, list(planted.gender_list))
+            lists = select_biased_words(embeddings, part, n_neutral // 4)
+            words = list(embeddings.words)
+            metric_calls = [
+                lambda: bias_by_projection(embeddings, "m0"),
+                lambda: select_biased_words(embeddings, part, n_neutral // 2),
+                lambda: sembias_eval(embeddings, [instance] * n_neutral),
+                lambda: gbwr_classification(embeddings, part, embeddings, seed=0,
+                                            n_per_gender=n_neutral // 2, train_per_gender=5),
+            ]
+            for normalized in (False, True):
+                metric_calls += [
+                    lambda normalized=normalized: mean_abs_projection_bias(
+                        embeddings, lists, normalized),
+                    lambda normalized=normalized: gbwr_correlation(
+                        embeddings, lists, embeddings, k=5, normalized=normalized),
+                    lambda normalized=normalized: gbwr_profession(
+                        embeddings, words, lists, embeddings, k=5, normalized=normalized),
+                ]
+            for call in metric_calls:
+                calls.clear()
+                call()
+                assert len(calls) == 1

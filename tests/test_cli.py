@@ -414,6 +414,21 @@ class TestEvalCommand:
         assert lines[0] == "word\tmale_neighbors\toriginal_bias"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_profession_tsv_prints_each_word_projection(self, workdir, normalized):
+        out = str(workdir["dir"] / "prof.json")
+        extra = ["--professions", workdir["professions"], "--top-biased", "10",
+                 "--neighbors", "5", "--classify-n", "20", "--classify-train", "5"]
+        code = self.run_eval(workdir, "relation", out,
+                             extra=extra + ["--normalized-projection"] * normalized)
+        assert code == 0
+        rows = (workdir["dir"] / "prof.professions.tsv").read_text().splitlines()[1:]
+        planted = workdir["planted"].embeddings
+        assert rows == [
+            f"{word}\t{count}\t{bias_by_projection(planted, word, normalized)!r}"
+            for word, count, _ in (row.split("\t") for row in rows)
+        ]
+
     def test_relation_byte_identical_reruns(self, workdir):
         outs = [str(workdir["dir"] / f"rel{i}.json") for i in (1, 2)]
         for out in outs:
@@ -590,6 +605,83 @@ class TestEvalCommand:
                 "--out", str(workdir["dir"] / "x.json"),
             ])
 
+    @pytest.mark.parametrize("kind, content, error", [
+        ("wordsim", b"caf\xe9\tm0\t5.0\n", "word_similarity:latin"),
+        ("sts", b"caf\xe9 m0\tm1\t4.0\n", "sts:latin"),
+        ("weat", b"[targets_x]\ncaf\xe9\n", "weat_pvalues:latin"),
+        ("sembias", b"caf\xe9 she definition\tm0 f0 biased\tm1 f1 other\tm2 f2 other\n",
+         "sembias_acc"),
+    ])
+    def test_undecodable_dataset_is_an_error_entry(self, workdir, capsys, kind, content,
+                                                   error):
+        bad = workdir["dir"] / "latin.txt"
+        bad.write_bytes(content)
+        metrics = {"wordsim": "quality", "sts": "quality", "weat": "relation",
+                   "sembias": "direction"}[kind]
+        value = f"latin={bad}" if kind in ("wordsim", "sts") else str(bad)
+        extra = [f"--{kind}", value, "--top-biased", "10", "--neighbors", "5",
+                 "--classify-n", "20", "--classify-train", "5"]
+        out = str(workdir["dir"] / "latin.json")
+        code = self.run_eval(workdir, metrics, out, extra=extra)
+        assert code == 1
+        message = f"{bad}: not UTF-8 text (undecodable byte 0xe9)"
+        assert read_json(out)["errors"] == {error: message}
+        assert f"metric {error} failed: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["embeddings", "gender"])
+    def test_undecodable_input_exits_2(self, workdir, capsys, which):
+        bad = workdir["dir"] / "latin.txt"
+        if which == "embeddings":
+            bad.write_bytes(Path(workdir["emb"]).read_bytes() + b"caf\xe9" + b" 1" * 12 + b"\n")
+            argv = ["--embeddings", str(bad), "--gender-list", workdir["gender"]]
+        else:
+            bad.write_bytes(b"he\nshe\ncaf\xe9\n")
+            argv = ["--embeddings", workdir["emb"], "--gender-list", str(bad)]
+        out = workdir["dir"] / "latin.json"
+        for command in (["eval", "--metrics", "direction", "--out", str(out)],
+                        ["debias", "--out", str(workdir["dir"] / "latin.vec")]):
+            assert main(command + argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {bad}: not UTF-8 text (undecodable byte 0xe9)\n"
+        assert not out.exists()
+        assert not (workdir["dir"] / "latin.vec").exists()
+
+    @pytest.mark.parametrize("metrics, extra, named", [
+        ("direction", [], "--gender-list"),
+        ("relation", [], "--gender-list"),
+        ("relation", ["--weat", "a/t.txt", "--weat", "b/t.txt"], "'t'"),
+        ("quality", ["--wordsim", "toy=a.tsv", "--wordsim", "toy=b.tsv"], "'toy'"),
+        ("quality", ["--sts", "2015/x=a.tsv", "--sts", "2016/y=b.tsv",
+                     "--sts", "2015/x=c.tsv"], "'2015/x'"),
+    ])
+    def test_usage_errors_exit_2_before_reading(self, workdir, monkeypatch, capsys, metrics,
+                                                extra, named):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
+        monkeypatch.setattr(fairvec.cli, "_sha256", no_reading)
+        out = workdir["dir"] / "usage.json"
+        argv = ["eval", "--embeddings", workdir["emb"], "--metrics", metrics,
+                "--out", str(out), *extra]
+        if named != "--gender-list":
+            argv += ["--gender-list", workdir["gender"]]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_distinct_dataset_names_accepted(self, workdir):
+        out = str(workdir["dir"] / "names.json")
+        wordsim, sts = workdir["wordsim"], workdir["sts"]
+        code = main(["eval", "--embeddings", workdir["emb"], "--metrics", "quality",
+                     "--wordsim", f"a={wordsim}", "--wordsim", f"b={wordsim}",
+                     "--sts", f"2015/a={sts}", "--sts", f"a={sts}", "--out", out])
+        assert code == 0
+        assert sorted(read_json(out)["provenance"]["datasets"]) == [
+            "sts:2015/a", "sts:a", "wordsim:a", "wordsim:b"]
+
     @pytest.mark.parametrize("original", [None, "same", "relative"])
     def test_each_input_file_hashed_once(self, workdir, monkeypatch, original):
         hashed = []
@@ -691,6 +783,33 @@ class TestCompareCommand:
         self.make_report(path, "m1", {})
         with pytest.raises(SystemExit):
             main(["compare", str(path)])
+
+
+    def test_fewer_than_two_reports_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        self.make_report(path, "m1", {})
+        out = tmp_path / "table.tsv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", str(path), "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "at least 2 reports" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"metric\tm1\n", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"method": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+        (b"[1, 2]", "not an object"),
+    ])
+    def test_not_a_report_exits_2(self, tmp_path, capsys, content, reason):
+        good, bad = tmp_path / "a.json", tmp_path / "b.tsv"
+        self.make_report(good, "m1", {"projection_bias": 0.5})
+        bad.write_bytes(content)
+        out = tmp_path / "table.tsv"
+        assert main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not a JSON report (")
+        assert reason in err
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

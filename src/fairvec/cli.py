@@ -36,7 +36,7 @@ from .embedding_store import (
     partition,
     save_embeddings,
 )
-from .errors import FairvecError, ParseError
+from .errors import FairvecError, InputError, ParseError
 
 CLASSIFY_SEED_OFFSET = 1
 WEAT_SEED_OFFSET = 100
@@ -312,11 +312,18 @@ def _eval_relation(args, embeddings, original, part, report: dict) -> None:
 
         _run(report, "gbwr_profession", profession)
 
+    taken: dict[str, str] = {}  # weat_pvalues entry name -> the file that holds it
+
     def weat(stem, spec, index):
+        # compare keys an entry's rows by its name, so a repeat would hide one of them
+        name = spec.name or stem
+        if name in taken:
+            raise InputError(f"test name {name!r} is already used by {taken[name]}")
         statistic, p_value = bias_metrics.weat_test(
             embeddings, spec, seed=args.seed + WEAT_SEED_OFFSET + index)
+        taken[name] = args.weat[index]
         return {
-            "name": spec.name or stem,
+            "name": name,
             "statistic": statistic,
             "p_value": p_value,
             "significant": p_value < bias_metrics.SIGNIFICANCE_LEVEL,

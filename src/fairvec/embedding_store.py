@@ -248,20 +248,159 @@ def load_embeddings(source: LineSource, max_words: int | None = None) -> Embeddi
     return EmbeddingSet._owning(tuple(index), vectors, index)
 
 
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = high + low exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+# Every value is formatted into a 32-byte field: " ", the sign and the digits
+# at fixed places, NUL where a character is absent; deleting the NULs leaves
+# "%.17g" % v. Fields are built as four little-endian 64-bit words.
+_POW10 = np.array([float(10 ** e) for e in range(23)])  # each one exactly representable
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# "%04d" % g as a word and its trailing zeros, for each 4-digit group g. The
+# tables are built with array operations: every CLI process imports this
+# module, and most never write.
+_ASCII_DIGITS = np.arange(48, 58, dtype=np.uint64)
+_DIGITS4 = (_ASCII_DIGITS[:, None, None, None] | (_ASCII_DIGITS[:, None, None] << 8)
+            | (_ASCII_DIGITS[:, None] << 16) | (_ASCII_DIGITS << 24)).ravel()
+_TRAILING_ZEROS4 = sum(np.arange(10000) % 10 ** i == 0 for i in (1, 2, 3, 4))
+_MINUS = np.uint64(ord("-") << 8)
+_NEWLINE = np.uint64(ord("\n") << 56)  # the last byte of a field is always NUL
+# Values per block in save_embeddings: the formatting temporaries stay small
+# and in cache, and the Python work per block is spread over enough values.
+_WRITE_VALUES = 1 << 14
+
+
+def _layouts() -> np.ndarray:
+    """The field words of each (exponent k, index of the last nonzero digit)
+    in column 17 * (k + 4) + last, and of zero in the last column.
+
+    Row 0 is word 0 of the field: " ", a NUL for the sign and, for k < 0,
+    "0.". Words 1-3 come from the 17 digits, held at bytes 3..19 of three
+    words behind three "0" bytes that serve as the zeros of "0.000ddd": rows
+    1-3 mask the digits that stay in place, rows 4-6 those moved one byte on
+    to make room for the ".", and rows 7-9 hold the ".".
+    """
+    k = np.arange(-4, 16)[:, None, None]
+    last = np.arange(17)[:, None]
+    byte = np.arange(24)
+    fraction = (k >= 0) & (last > k)
+    kept = np.where(k < 0, (byte >= 4 + k) & (byte < 4 + last), (byte >= 3) & (byte < 4 + k))
+    shifted = fraction & (byte >= 5 + k) & (byte < 5 + last)
+    dot = fraction & (byte == 4 + k)
+    head = np.zeros((20, 17, 8), dtype=np.uint8)
+    head[..., 0] = ord(" ")
+    head[k[:, 0, 0] < 0, :, 2:4] = np.frombuffer(b"0.", dtype=np.uint8)
+    rows = np.concatenate([head, kept * 0xFF, shifted * 0xFF, dot * ord(".")], axis=2)
+    zero = np.frombuffer((b" \0" + b"0").ljust(80, b"\0"), dtype=np.uint8)
+    rows = np.vstack([rows.astype(np.uint8).reshape(340, 80), zero])
+    return rows.view("<u8").T.copy()
+
+
+_LAYOUT = _layouts()
+
+
+def _fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-byte fields of " " + "%.17g" % v for the values of `x` (1-D),
+    and which of them are filled: those with |v| in [1e-4, 1e16), where
+    "%.17g" prints fixed notation, and zeros.
+
+    v = D * 10**(k-16) with D the 17-digit integer that dtoa rounds to. The
+    scaled y = |v| * 10**(16-k) is exactly hi + err (Dekker's TwoProduct
+    against an exact power of ten), and hi >= 1e16 > 2**53 is an even
+    integer, so D = hi + rint(err) rounds half to even as dtoa does.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    fixed = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fixed, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    a_hi, a_lo = _veltkamp(a)
+
+    def scaled(k):
+        e = 16 - k
+        hi = a * _POW10[e]
+        p_hi, p_lo = _POW10_HI[e], _POW10_LO[e]
+        return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+    hi, err = scaled(k)
+    # log10 can put k off by one next to a power of ten; y must lie in [1e16, 1e17).
+    low = (hi < 1e16) | ((hi == 1e16) & (err < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (err >= 0))
+    if low.any() or high.any():
+        k += high
+        k -= low
+        hi, err = scaled(k)
+    # D never rounds up to 1e17: that needs |v| within 5e-18 (relative) under
+    # 10**(k+1), and the largest float under each of 0.001 ... 1e16 is more
+    # than 8e-17 under it.
+    d = hi.astype(np.int64) + np.rint(err).astype(np.int64)
+
+    top, bottom = np.divmod(d, 10 ** 8)
+    top, g2 = np.divmod(top, 10 ** 4)
+    g0, g1 = np.divmod(top, 10 ** 4)
+    g3, g4 = np.divmod(bottom, 10 ** 4)
+    digits = (_DIGITS4[g0] | (_DIGITS4[g1] << 32), _DIGITS4[g2] | (_DIGITS4[g3] << 32),
+              _DIGITS4[g4])
+    shifted = (digits[0] << 8, (digits[1] << 8) | (digits[0] >> 56),
+               (digits[2] << 8) | (digits[1] >> 56))
+    trailing = _TRAILING_ZEROS4[g1]
+    for g in (g2, g3, g4):
+        trailing = np.where(g == 0, trailing + 4, _TRAILING_ZEROS4[g])
+    layout = np.where(fixed, 17 * (k + 4) + 16 - trailing,
+                      np.where(zero, _LAYOUT.shape[1] - 1, 0))
+
+    fields = np.empty((x.size, 4), dtype="<u8")
+    fields[:, 0] = _LAYOUT[0][layout] | (np.signbit(x) * _MINUS)
+    for i in range(3):
+        fields[:, 1 + i] = ((digits[i] & _LAYOUT[1 + i][layout])
+                            | (shifted[i] & _LAYOUT[4 + i][layout]) | _LAYOUT[7 + i][layout])
+    return fields, fixed | zero
+
+
+def _text_rows(words: Sequence[str], vectors: np.ndarray) -> list[str]:
+    """The rows of `words` and `vectors` in the save format, each value as
+    "%.17g" % v: the kernel's fields, and Python's formatting for values
+    printed in scientific notation."""
+    dim = vectors.shape[1]
+    if not dim:
+        return [word + "\n" for word in words]
+    values = vectors.reshape(-1)
+    fields, filled = _fields(values)
+    others = np.flatnonzero(~filled)
+    if others.size:
+        texts = b"".join((" %.17g" % v).encode("ascii").ljust(32, b"\0")
+                         for v in values[others].tolist())
+        fields[others] = np.frombuffer(texts, dtype="<u8").reshape(-1, 4)
+    fields[dim - 1::dim, 3] |= _NEWLINE
+    lines = fields.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    return [f"{word}{line}\n" for word, line in zip(words, lines)]
+
+
+def _write_rows(dim: int) -> int:
+    """Rows per block in save_embeddings: about _WRITE_VALUES values, and at
+    least the two rows that the header rule reads."""
+    return max(2, _WRITE_VALUES // max(dim, 1))
+
+
 def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     """Write the set in the load format.
 
-    Values are printed with 17 significant digits, enough to reconstruct each
-    float64 exactly, so load(save(x)) is bit-identical. A "count dim" header
-    is written only when the loader would take the first row for one.
+    Values are printed as "%.17g" % v, 17 significant digits, enough to
+    reconstruct each float64 exactly, so load(save(x)) is bit-identical. A
+    "count dim" header is written only when the loader would take the first
+    row for one. Rows are formatted and written in fixed blocks.
     """
-    row_format = "%s" + " %.17g" * embeddings.dim + "\n"
-    rows = (row_format % (word, *row)
-            for word, row in zip(embeddings.words, embeddings.vectors.tolist()))
-    head = list(itertools.islice(rows, 2))
-    if len(head) == 2 and _is_header(*head):
-        head.insert(0, f"{len(embeddings)} {embeddings.dim}\n")
-    sink.writelines(itertools.chain(head, rows))
+    step = _write_rows(embeddings.dim)
+    for start in range(0, len(embeddings), step):
+        rows = _text_rows(embeddings.words[start:start + step],
+                          embeddings.vectors[start:start + step])
+        if start == 0 and len(rows) >= 2 and _is_header(rows[0], rows[1]):
+            sink.write(f"{len(embeddings)} {embeddings.dim}\n")
+        sink.write("".join(rows))
 
 
 def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes]) -> None:

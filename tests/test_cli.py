@@ -552,6 +552,35 @@ class TestEvalCommand:
             assert list(report["metrics"]["sts_yearly_average"]) == ["2015"]
         assert f"metric {error} failed: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("later, content", [
+        ("other", "name: planted\n"),  # a different stem with the same name: line
+        ("planted", ""),  # no name: line, so the stem names it
+    ], ids=["same-name-line", "stem-is-the-name"])
+    def test_repeated_weat_name_is_an_error_entry(self, workdir, capsys, later, content):
+        # compare flattens each entry to weat_pvalues.<name>.* rows; a second
+        # entry with the same name would silently replace the first one's values.
+        with open(workdir["weat"], encoding="utf-8") as handle:
+            spec = handle.read().replace("name: planted\n", "")
+        repeat = workdir["dir"] / f"{later}.txt"
+        repeat.write_text(content + spec)
+        out = str(workdir["dir"] / "repeat.json")
+        code = self.run_eval(workdir, "relation", out, extra=[
+            "--weat", workdir["weat"], "--weat", str(repeat), "--top-biased", "10",
+            "--neighbors", "5", "--classify-n", "20", "--classify-train", "5"])
+        assert code == 1
+        report = read_json(out)
+        message = f"test name 'planted' is already used by {workdir['weat']}"
+        assert report["errors"] == {f"weat_pvalues:{later}": message}
+        entries = report["metrics"]["weat_pvalues"]
+        assert [entry["name"] for entry in entries] == ["planted"]
+        alone = str(workdir["dir"] / "alone.json")
+        assert self.run_eval(workdir, "relation", alone, extra=[
+            "--weat", workdir["weat"], "--top-biased", "10", "--neighbors", "5",
+            "--classify-n", "20", "--classify-train", "5"]) == 0
+        assert entries == read_json(alone)["metrics"]["weat_pvalues"]
+        assert f"weat:{later}" in report["provenance"]["datasets"]
+        assert f"metric weat_pvalues:{later} failed: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("professions", [False, True])
     def test_biased_word_selection_failure(self, workdir, capsys, professions):
         # 30 neutral words per gender, so a pool of 100 per gender cannot be chosen;

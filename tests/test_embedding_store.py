@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,99 @@ class TestSave:
         sink = io.StringIO()
         save_embeddings(EmbeddingSet(words=words, vectors=vectors), sink)
         assert sink.getvalue().split("\n")[0].split(" ")[0] == words[0]
+
+    def test_memory_does_not_grow_with_rows(self):
+        # Rows are formatted and written block by block, so the peak traced
+        # allocation is about one block of fields and text (4 MB at 300 dims),
+        # whatever the row count; a list of every value as a Python float
+        # takes more than the bound at 1,000 rows and 8 times that at 8,000.
+        class CountingSink(io.TextIOBase):
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+                return len(text)
+
+        rng = np.random.default_rng(12)
+        for n_rows in (1000, 8000):
+            embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(n_rows)),
+                                      rng.normal(size=(n_rows, 300)))
+            sink = CountingSink()
+            tracemalloc.start()
+            try:
+                save_embeddings(embeddings, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sink.chars > n_rows * 300 * 20
+            assert peak < 6 * 2**20, (n_rows, peak)
+
+
+def per_value_text(embeddings: EmbeddingSet) -> str:
+    """The save format by its reference rule: every value printed on its own."""
+    return "".join(word + "".join(" " + format(v, ".17g") for v in row) + "\n"
+                   for word, row in zip(embeddings.words, embeddings.vectors.tolist()))
+
+
+def curated_values() -> np.ndarray:
+    """Values where a fast %.17g is easiest to get wrong, and their negatives."""
+    rng = np.random.default_rng(13)
+    # o/4 for odd o in [4e15, 9e15) ends in .25 or .75 at 17 digits: an exact tie
+    ties = (rng.integers(2 * 10**15, 45 * 10**14, size=200) * 2 + 1) / 4.0
+    # 10**k and 1..3 ulp either side; the sides of 1e-4 and 1e16 are where the
+    # notation changes. No float64 rounds up across a power of ten at 17
+    # digits, so the nearest floats below them are as close as any gets.
+    near = []
+    for k in range(-5, 18):
+        below = above = float(f"1e{k}")
+        near.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            near += [below, above]
+    extremes = [0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1.0, 0.5, 123456789.125, 2.0**53]
+    values = np.concatenate([ties, near, extremes])
+    return np.concatenate([values, -values])
+
+
+@st.composite
+def saved_sets(draw):
+    """A set of 0, 1, 2 or about a write block of rows, the block's edges
+    included, whose values mix any finite float64 bit pattern, scaled normals
+    in the fixed-notation range, floats that hypothesis picks and curated ones."""
+    dim = draw(st.sampled_from([1, 2, 3, 300]))
+    block = embedding_store._write_rows(dim)
+    n_rows = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = n_rows * dim
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    scaled = rng.normal(size=size) * 10.0 ** rng.integers(-5, 17, size=size)
+    curated = rng.choice(curated_values(), size=size)
+    values = np.choose(rng.integers(0, 3, size=size), [bits, scaled, curated])
+    values[~np.isfinite(values)] = curated[~np.isfinite(values)]
+    picked = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=min(size, 20)))
+    values[rng.choice(size, size=len(picked), replace=False)] = picked
+    return EmbeddingSet(tuple(f"w{i}" for i in range(n_rows)), values.reshape(n_rows, dim))
+
+
+class TestSaveMatchesPerValueFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(saved_sets())
+    def test_any_set(self, embeddings):
+        sink = io.StringIO()
+        save_embeddings(embeddings, sink)
+        assert sink.getvalue().encode("utf-8") == per_value_text(embeddings).encode("utf-8")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 300])
+    def test_curated_values(self, dim):
+        values = curated_values()
+        n_rows = max(2, -(-values.size // dim))  # every value, repeated to fill the rows
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(n_rows)),
+                                  np.resize(values, (n_rows, dim)))
+        sink = io.StringIO()
+        save_embeddings(embeddings, sink)
+        assert sink.getvalue() == per_value_text(embeddings)
 
 
 class TestEmbeddingSet:

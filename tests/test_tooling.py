@@ -180,3 +180,33 @@ def test_trace_sees_dataset_loads(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {"quality_eval.load_word_pairs", "quality_eval.load_sentence_pairs",
             "bias_metrics.load_sembias"} <= names
+
+
+def test_trace_sizes_the_streamed_write(monkeypatch, tmp_path):
+    # The benchmark's embedding_store.save_embeddings.mb_written is sink.tell()
+    # after the call less sink.tell() before it, so the writer must write
+    # every block through the sink it is given. Small blocks give many writes.
+    import os
+
+    from conftest import build_planted, write_embedding_file
+    from fairvec import EmbeddingSet, cli, embedding_store
+
+    monkeypatch.setattr(embedding_store, "_WRITE_VALUES", 64)
+    planted = build_planted(n_neutral=60, dim=8, n_definition=4, seed=3)
+    words = tuple("café" if word == "m0" else word for word in planted.embeddings.words)
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, EmbeddingSet(words, planted.embeddings.vectors))
+    gender = tmp_path / "gender.txt"
+    gender.write_text("\n".join(planted.gender_list) + "\n")
+    out = str(tmp_path / "hsr.txt")
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["debias", "--embeddings", str(emb), "--gender-list", str(gender),
+                         "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+
+    assert [span[0] for span in tracer.spans].count("embedding_store.save_embeddings") == 1
+    assert tracer.counters["embedding_store.save_embeddings.bytes"] == os.path.getsize(out)

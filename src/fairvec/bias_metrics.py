@@ -13,6 +13,7 @@ the untouched embedding and then reused when scoring any debiased variant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from math import comb
@@ -41,6 +42,8 @@ DEFAULT_NEIGHBORS = 100
 WEAT_EXACT_LIMIT = 100_000
 WEAT_SAMPLES = 10_000
 SIGNIFICANCE_LEVEL = 0.05
+# Rows gathered at once for projections on he - she.
+_PROJECTION_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -113,14 +116,19 @@ def _projections(embeddings: EmbeddingSet, rows: Iterable[int],
 
     Each row is reduced on its own, so a word's value does not depend on the
     batch (a 2-D `@` sends one row to BLAS ddot and more to gemv, which round
-    differently). `rows` is read after he and she are looked up, so a lazy
+    differently). That also lets the rows be gathered and reduced in blocks
+    of _PROJECTION_ROWS, so memory does not grow with their number. `rows`
+    is read after he and she are looked up, so a lazy
     map(embeddings.index, words) raises for the word a per-word loop would.
     """
     direction = gender_direction(embeddings)
-    vectors = embeddings.vectors[np.fromiter(rows, dtype=np.intp)]
-    if normalized:
-        return cosine_rows(vectors, direction)
-    return np.einsum("ij,j->i", vectors, direction)
+    index = np.fromiter(rows, dtype=np.intp)
+    project = cosine_rows if normalized else functools.partial(np.einsum, "ij,j->i")
+    values = np.empty(index.size)
+    for start in range(0, index.size, _PROJECTION_ROWS):
+        block = slice(start, start + _PROJECTION_ROWS)
+        values[block] = project(embeddings.vectors[index[block]], direction)
+    return values
 
 
 def bias_by_projection(embeddings: EmbeddingSet, word: str, normalized: bool = False) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -61,19 +62,39 @@ def _umask() -> int:
     return mask
 
 
+class _DigestFile(io.FileIO):
+    """A file opened for writing that feeds every byte written to a digest."""
+
+    def __init__(self, fd: int, digest):
+        super().__init__(fd, "wb")
+        self.digest = digest
+
+    def write(self, data) -> int:
+        written = super().write(data)
+        self.digest.update(memoryview(data).cast("B")[:written])
+        return written
+
+
 @contextlib.contextmanager
-def _atomic_output(path: str, binary: bool = False):
+def _atomic_output(path: str, binary: bool = False, digest=None):
     """Text (or binary) handle on a temp file that replaces `path` when the block exits.
 
     The file gets the mode a plain open() would give it (0666 less the
     umask), not mkstemp's 0600. On error the temp file is removed and `path`
-    is left as it was.
+    is left as it was. A text file given a hashlib `digest` feeds it every
+    byte it writes, so the caller need not read the file back to hash it.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        mode, encoding = ("wb", None) if binary else ("w", "utf-8")
-        with os.fdopen(fd, mode, encoding=encoding) as handle:
+        if binary:
+            handle = os.fdopen(fd, "wb")
+        elif digest is None:
+            handle = os.fdopen(fd, "w", encoding="utf-8")
+        else:
+            handle = io.TextIOWrapper(io.BufferedWriter(_DigestFile(fd, digest)),
+                                      encoding="utf-8")
+        with handle:
             yield handle
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -205,10 +226,11 @@ def cmd_debias(args: argparse.Namespace) -> int:
     else:
         result = hard_debias(embeddings, config)
 
-    with _atomic_output(args.out) as handle:
+    digest = hashlib.sha256()
+    with _atomic_output(args.out, digest=digest) as handle:
         save_embeddings(result.embeddings, handle)
     with _atomic_output(_binary_path(args.out), binary=True) as handle:
-        _save_binary(result.embeddings, _sha256(args.out), handle)
+        _save_binary(result.embeddings, digest.hexdigest(), handle)
     sidecar = {
         "method": result.method,
         "alpha": args.alpha,

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, InputError, ParseError
-from .matrix_core import cosine_matrix, exact_cosine_rows
+from .matrix_core import _sorted_distinct, cosine_matrix, exact_cosine_rows
 
 LineSource = Union[str, os.PathLike, Iterable[str]]
 
@@ -496,7 +496,7 @@ def top_k_neighbors(
     if candidate_indices is None:
         candidates = np.arange(n, dtype=np.int64)
     else:
-        candidates = np.unique(np.asarray(candidate_indices, dtype=np.int64))
+        candidates = _sorted_distinct(np.asarray(candidate_indices, dtype=np.int64).ravel())
         if candidates.size and (candidates[0] < 0 or candidates[-1] >= n):
             raise InputError("candidate index outside vocabulary")
     is_query = queries[:, None] == candidates[None, :]

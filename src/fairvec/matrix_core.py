@@ -25,6 +25,15 @@ _LLOYD_TOL = 1e-6
 # Hinge-loss classifier: L2 strength and passes over the training set.
 _CLASSIFIER_L2 = 1e-4
 _CLASSIFIER_EPOCHS = 200
+# Skipping its steps that cannot update: the first batch of steps tried at
+# once, the largest, the shortest certain run worth a batch, the most plain
+# steps between tries, and the shrink factors applied per reduction.
+_SKIP_CHUNK = 32
+_SKIP_MAX_CHUNK = 1 << 15
+_SKIP_MIN_RUN = 4
+_SKIP_MAX_WAIT = 4096
+_SHRINK_BLOCK = 256
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,15 @@ def cosine_rows(u, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     _check_dims(u, v)
     return _cosines(np.sum(u * v, axis=-1), _norm_products(_squared_norms(u), _squared_norms(v)))
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array. np.unique without index outputs imports
+    numpy.ma, which would add its import time to every process."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +347,7 @@ def purity(assignments, labels) -> float:
     if n == 0:
         raise InputError("purity needs at least one point")
     majority_total = 0
-    for c in np.unique(assignments):
+    for c in _sorted_distinct(assignments):
         cluster_labels = labels[assignments == c]
         majority_total += int(np.bincount(cluster_labels).max())
     return majority_total / n
@@ -357,6 +375,12 @@ def train_linear_classifier(train_points, train_labels, seed: int) -> LinearClas
     l2 = _CLASSIFIER_L2. Step size decays as 1/(1 + l2 * t); sample order is
     reshuffled in each of _CLASSIFIER_EPOCHS epochs from the seed, so
     training is deterministic.
+
+    The weights and bias are bitwise those of the plain per-sample loop. A
+    step whose margin is at least 1 only shrinks w; such steps are found in
+    batches from one product x @ w and skipped when a rounding-error bound
+    proves the loop's own margin is at least 1 too (_Estimates). Their
+    shrink factors are then applied one after another, as the loop would.
     """
     x = _as_matrix(train_points, "train_points")
     y = np.asarray(train_labels).ravel()
@@ -364,24 +388,148 @@ def train_linear_classifier(train_points, train_labels, seed: int) -> LinearClas
         raise InputError(
             f"points and labels lengths differ: {x.shape[0]} vs {y.shape[0]}"
         )
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0, 1))):
+    positive = y == 1
+    if not np.all(positive | (y == 0)):
         raise InputError("labels must be binary (0/1)")
-    if classes.shape[0] < 2:
+    if positive.all() or not positive.any():
         raise InputError("training set must contain both classes")
 
-    signs = np.where(y == 1, 1.0, -1.0)
+    signs = np.where(positive, 1.0, -1.0)
     rng = np.random.default_rng(seed)
+    samples = np.concatenate([rng.permutation(x.shape[0]) for _ in range(_CLASSIFIER_EPOCHS)])
+    etas = 1.0 / (1.0 + _CLASSIFIER_L2 * np.arange(1, samples.size + 1, dtype=np.float64))
+    decays = 1.0 - etas * _CLASSIFIER_L2
+    w, b = _descend(x, signs, samples, etas, decays)
+    return LinearClassifier(weights=w, bias=b)
+
+
+def _descend(x: np.ndarray, signs: np.ndarray, samples: np.ndarray, etas: np.ndarray,
+             decays: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights and bias after every step of train_linear_classifier.
+
+    Steps are tried in batches (_Estimates.certain_run): the steps a batch
+    certifies are skipped, and the first one it cannot certify runs as a
+    plain step. A batch certain throughout doubles the next one; otherwise
+    the next is twice the running mean of certain runs, which weighs each
+    new run 1/4. While that mean is below _SKIP_MIN_RUN, batches cost more
+    than the plain steps they save, so plain steps run instead, twice as
+    many after each such batch in a row, up to _SKIP_MAX_WAIT.
+    """
     w = np.zeros(x.shape[1], dtype=np.float64)
     b = 0.0
-    t = 0
-    for _ in range(_CLASSIFIER_EPOCHS):
-        for i in rng.permutation(x.shape[0]):
-            t += 1
-            eta = 1.0 / (1.0 + _CLASSIFIER_L2 * t)
-            margin = signs[i] * (np.dot(w, x[i]) + b)
-            w *= 1.0 - eta * _CLASSIFIER_L2
-            if margin < 1.0:
-                w += eta * signs[i] * x[i]
-                b += eta * signs[i]
-    return LinearClassifier(weights=w, bias=float(b))
+    plain = (list(x), signs.tolist(), samples, etas, decays, np.empty_like(w))
+    estimates = _Estimates(x, signs, samples, decays)
+    stack = np.empty((_SHRINK_BLOCK + 1, x.shape[1]))
+    total = samples.size
+    p = 0
+    batch = backoff = _SKIP_CHUNK
+    mean_run = float(_SKIP_MIN_RUN)
+    while p < total:
+        k = min(batch, total - p)
+        run = estimates.certain_run(w, b, p, k)
+        _shrink(w, decays[p:p + run], stack)
+        p += run
+        if run == k:
+            batch = min(2 * batch, _SKIP_MAX_CHUNK)
+            backoff = _SKIP_CHUNK
+            continue
+        b = _plain_steps(w, b, p, p + 1, *plain)
+        p += 1
+        mean_run += (run - mean_run) / 4
+        if mean_run >= _SKIP_MIN_RUN:
+            batch = min(max(int(2 * mean_run), _SKIP_CHUNK), _SKIP_MAX_CHUNK)
+            backoff = _SKIP_CHUNK
+        else:
+            stop = min(p + backoff, total)
+            b = _plain_steps(w, b, p, stop, *plain)
+            p = stop
+            batch = _SKIP_CHUNK
+            backoff = min(2 * backoff, _SKIP_MAX_WAIT)
+    return w, float(b)
+
+
+def _plain_steps(w, b, start, stop, rows, signs, samples, etas, decays, scratch) -> float:
+    """Steps start..stop-1 of the per-sample loop, updating w in place; returns b."""
+    dot, multiply, add = np.dot, np.multiply, np.add
+    for i, eta, decay in zip(samples[start:stop].tolist(), etas[start:stop].tolist(),
+                             decays[start:stop].tolist()):
+        row = rows[i]
+        sign = signs[i]
+        margin = sign * (dot(w, row) + b)
+        multiply(w, decay, out=w)
+        if margin < 1.0:
+            step = eta * sign
+            multiply(row, step, out=scratch)
+            add(w, scratch, out=w)
+            b += step
+    return b
+
+
+class _Estimates:
+    """Margins of upcoming steps estimated from one product with x, and a
+    rounding-error bound that certifies those of at least 1.
+
+    Until a step updates, w only shrinks: step p+q sees w times the q
+    factors before it, whose product P_q is taken here as a cumprod, so its
+    margin is about t_q = s (P_q (x . w) + b). To first order, the loop's
+    own margin (np.dot on the shrunk w, then + b) is within
+        ((2q + 4) u + 2 gamma_d) P_q sum_j |x_j w_j| + 2 u |t_q|
+    of t_q as computed here, with u = 2**-53 and gamma_d = d u / (1 - d u):
+    q roundings of w and q - 1 of the cumprod, a dot product of d terms on
+    either side, and one rounding of each sum with b. Since P_q <= 1 and
+    sum_j |x_j w_j| <= |x| |w| (Cauchy-Schwarz), twice the first term is at
+    most one slack per batch, taking q as the batch size and |x| as the
+    largest row norm. A step is certain when t_q reaches 1 + 8 u + slack:
+    its margin is then at least 1, so it does not update. The factor 2
+    covers the higher-order terms and the rounding of the bound itself.
+    """
+
+    def __init__(self, x, signs, samples, decays):
+        self.signed = x * signs[:, None]  # rows times their sign: exact
+        self.samples = samples
+        self.decays = decays
+        self.signs = signs[samples]
+        self.x_norm = math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
+        d = x.shape[1]
+        self.gamma = d * _UNIT_ROUNDOFF / (1 - d * _UNIT_ROUNDOFF)
+        self.scale = np.ones(min(_SKIP_MAX_CHUNK, samples.size))
+
+    def certain_run(self, w: np.ndarray, b: float, p: int, k: int) -> int:
+        """How many of steps p, p+1, ..., p+k-1, in order, are certain."""
+        slack = (2.0 * ((2 * k + 4) * _UNIT_ROUNDOFF + 2 * self.gamma)
+                 * self.x_norm * math.sqrt(np.dot(w, w)))
+        # Below this |x| |w| < 2**1010, so no sum overflows; a NaN or inf
+        # slack fails the test too.
+        if not slack < 2.0 ** 960:
+            return 0
+        picked = self.samples[p:p + k]
+        if k >= len(self.signed):
+            margins = np.dot(self.signed, w)[picked]
+        else:
+            margins = np.dot(np.take(self.signed, picked, axis=0), w)
+        scale = self.scale[:k]
+        np.cumprod(self.decays[p:p + k - 1], out=scale[1:])
+        margins *= scale
+        margins += self.signs[p:p + k] * b
+        certain = margins >= 1.0 + 8 * _UNIT_ROUNDOFF + slack
+        run = int(certain.argmin())
+        return k if certain[run] else run
+
+
+def _shrink(w: np.ndarray, factors: np.ndarray, stack: np.ndarray) -> None:
+    """w *= f for each f of `factors` in turn, bitwise, a block of factors at a time.
+
+    A multiply reduction down the rows of [w; f1; f2; ...] multiplies each
+    column left to right, as the in-place loop does, in one call per block.
+    """
+    if factors.size < 4:
+        for factor in factors.tolist():
+            np.multiply(w, factor, out=w)
+        return
+    block = len(stack) - 1
+    for start in range(0, factors.size, block):
+        chunk = factors[start:start + block]
+        rows = stack[:chunk.size + 1]
+        rows[0] = w
+        rows[1:] = chunk[:, None]
+        np.multiply.reduce(rows, axis=0, out=w)

@@ -179,3 +179,30 @@ def load_embeddings_oracle(lines, max_words=None):
     if not words:
         raise LoadOracleError("empty embedding input")
     return tuple(words), np.vstack(rows)
+
+
+def linear_classifier_oracle(x, y, seed, l2=1e-4, epochs=200):
+    """Weights and bias of per-sample hinge-loss subgradient descent, one step
+    at a time: the reference that fairvec.train_linear_classifier reproduces
+    bit for bit.
+
+    Step t (from 1) has size 1/(1 + l2 t) and shrinks w by 1 - eta l2; a
+    sample whose margin s (w.x + b) is below 1 also moves w and b by eta s x
+    and eta s. Sample order is a fresh permutation per epoch from the seed.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    signs = np.where(np.asarray(y).ravel() == 1, 1.0, -1.0)
+    rng = np.random.default_rng(seed)
+    w = np.zeros(x.shape[1], dtype=np.float64)
+    b = 0.0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(x.shape[0]):
+            t += 1
+            eta = 1.0 / (1.0 + l2 * t)
+            margin = signs[i] * (np.dot(w, x[i]) + b)
+            w *= 1.0 - eta * l2
+            if margin < 1.0:
+                w += eta * signs[i] * x[i]
+                b += eta * signs[i]
+    return w, float(b)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from fairvec import (
 )
 from fairvec import bias_metrics
 from fairvec.bias_metrics import WEAT_SAMPLES, _projections
+from fairvec.matrix_core import cosine_rows
 
 
 def embedding_from(words, vectors) -> EmbeddingSet:
@@ -104,6 +106,25 @@ class TestMeanAbsProjectionBias:
 
 
 class TestSelectBiasedWords:
+    def test_memory_does_not_grow_with_rows(self):
+        # Projections gather and reduce fixed blocks of rows, so the traced
+        # peak is about one block (2.4 MB at 300 dims) plus a few values per
+        # row; gathering every neutral row at once takes 9.6 MB at 4,000 rows
+        # and four times that at 16,000.
+        rng = np.random.default_rng(13)
+        for n_rows in (4000, 16000):
+            words = ("he", "she") + tuple(f"w{i}" for i in range(n_rows - 2))
+            embeddings = embedding_from(words, rng.normal(size=(n_rows, 300)))
+            part = partition(embeddings, ["he", "she"])
+            tracemalloc.start()
+            try:
+                lists = select_biased_words(embeddings, part, 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(lists.all_words()) == 20
+            assert peak < 4 * 2**20, (n_rows, peak)
+
     def test_signs_split(self, planted):
         part = partition(planted.embeddings, list(planted.gender_list))
         lists = select_biased_words(planted.embeddings, part, 5)
@@ -741,6 +762,22 @@ class TestOneProjectionPerWord:
             for word, _, bias in points:
                 assert type(bias) is float
                 assert repr(bias) == repr(bias_by_projection(embeddings, word, normalized))
+
+    @pytest.mark.parametrize("block", [3, 1024])
+    def test_whole_matrix_equals_single_words_bitwise(self, monkeypatch, block):
+        # more rows than one block: block boundaries must not change a value
+        monkeypatch.setattr(bias_metrics, "_PROJECTION_ROWS", block)
+        _, embeddings = self.random_set(4, 2500, 30)
+        rows = np.arange(len(embeddings))
+        direction = embeddings.vector("he") - embeddings.vector("she")
+        unblocked = {False: np.einsum("ij,j->i", embeddings.vectors, direction),
+                     True: cosine_rows(embeddings.vectors, direction)}
+        for normalized in (False, True):
+            whole = _projections(embeddings, rows, normalized)
+            single = np.array([bias_by_projection(embeddings, w, normalized)
+                               for w in embeddings.words])
+            assert whole.tobytes() == single.tobytes()
+            assert whole.tobytes() == unblocked[normalized].tobytes()
 
     def test_missing_words_raise_in_lookup_order(self):
         # no "he": the direction lookup fails before any listed word is looked up

@@ -17,6 +17,7 @@ import pytest
 import fairvec
 from conftest import build_planted, write_embedding_file
 from fairvec import (
+    EmbeddingSet,
     bias_by_projection,
     cosine_similarity,
     load_embeddings,
@@ -111,6 +112,38 @@ class TestDebiasCommand:
         neutral_changed = debiased.vectors[part.neutral_indices] - \
             original.vectors[part.neutral_indices]
         assert np.abs(neutral_changed).max() > 0.1
+
+    def test_output_hashed_as_written_not_read_back(self, workdir, monkeypatch):
+        # The text's sha256, which keys <out>.npz, comes from the bytes as they
+        # are written; small blocks and a non-ASCII word give many writes.
+        import builtins
+
+        from fairvec import embedding_store
+
+        monkeypatch.setattr(embedding_store, "_WRITE_VALUES", 64)
+        planted = workdir["planted"].embeddings
+        emb = workdir["dir"] / "accent.txt"
+        write_embedding_file(emb, EmbeddingSet(
+            tuple("café" if w == "m0" else w for w in planted.words), planted.vectors))
+        out = str(workdir["dir"] / "hashed.txt")
+        reads = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and isinstance(file, (str, os.PathLike)):
+                reads.append(os.path.abspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        assert main(["debias", "--embeddings", str(emb), "--gender-list", workdir["gender"],
+                     "--out", out]) == 0
+        monkeypatch.undo()
+        assert os.path.abspath(out) not in reads
+        text = Path(out).read_bytes()
+        assert "café".encode() in text
+        with np.load(out + ".npz") as archive:
+            assert str(archive["sha256"]) == hashlib.sha256(text).hexdigest()
+        assert _load_binary(out + ".npz", hashlib.sha256(text).hexdigest()) is not None
 
     def test_sidecar_metadata(self, workdir):
         out = str(workdir["dir"] / "hsr2.txt")
@@ -850,3 +883,23 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_set_operations_load_no_numpy_ma():
+    # np.unique without index outputs imports numpy.ma, 16 ms of every
+    # process that trains the classifier, scores purity or ranks neighbours.
+    src = str(Path(fairvec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = (
+        "import sys, numpy as np\n"
+        "from fairvec import EmbeddingSet, purity, train_linear_classifier\n"
+        "from fairvec.embedding_store import top_k_neighbors\n"
+        "train_linear_classifier(np.eye(4), [0, 1, 0, 1], 0)\n"
+        "purity([2, 0, 2, 1], [0, 1, 0, 1])\n"
+        "top_k_neighbors(EmbeddingSet(('a', 'b', 'c'), np.eye(3)), [0], 1, [2, 1, 2])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"

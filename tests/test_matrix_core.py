@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import build_planted
 from fairvec import (
     InputError,
     NumericalError,
@@ -21,6 +22,10 @@ from fairvec import (
     spearman,
     train_linear_classifier,
 )
+from fairvec import matrix_core
+from fairvec.bias_metrics import _rows, select_biased_words
+from fairvec.debias import HsrConfig, hard_debias, hsr_debias
+from fairvec.embedding_store import partition
 from fairvec.matrix_core import _lloyd, average_ranks, cosine_rows, exact_cosine_rows
 
 
@@ -343,6 +348,83 @@ class TestLinearClassifier:
         second = train_linear_classifier(x, y, seed=9)
         assert np.array_equal(first.weights, second.weights)
         assert first.bias == second.bias
+
+
+# Settings of the step skipping in train_linear_classifier at its extremes.
+SKIP_SETTINGS = {
+    "default": {},
+    "one-step batches": {"_SKIP_CHUNK": 1, "_SKIP_MAX_CHUNK": 1, "_SKIP_MIN_RUN": 0},
+    "long batches": {"_SKIP_CHUNK": 1 << 20, "_SKIP_MAX_CHUNK": 1 << 20, "_SKIP_MIN_RUN": 0},
+    "plain steps": {"_SKIP_MIN_RUN": 1 << 30, "_SKIP_MAX_WAIT": 1 << 30},
+}
+
+
+def assert_matches_loop(x, y, seed):
+    model = train_linear_classifier(x, y, seed)
+    weights, bias = oracles.linear_classifier_oracle(x, y, seed)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert type(model.bias) is float and repr(model.bias) == repr(bias)
+
+
+class TestClassifierMatchesPerSampleLoop:
+    """Skipping the steps proven not to update leaves the per-sample loop's bits."""
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 60), st.integers(1, 40),
+           st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 5), st.integers(0, 5),
+           st.sampled_from(sorted(SKIP_SETTINGS)))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_oracle(self, seed, n, dim, log_scale, separable, n_copies,
+                                     n_zeros, setting):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        x = rng.normal(size=(n, dim))
+        if separable:
+            x += np.outer(np.where(y == 1, 1.0, -1.0), rng.normal(size=dim)) * 3.0
+        x *= 10.0 ** log_scale
+        x[rng.integers(0, n, size=n_copies)] = x[rng.integers(0, n, size=n_copies)]
+        x[rng.integers(0, n, size=n_zeros)] = 0.0
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in SKIP_SETTINGS[setting].items():
+                patch.setattr(matrix_core, name, value)
+            assert_matches_loop(x, y, int(rng.integers(1000)))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_points(self, layout):
+        # the plain steps take np.dot on the caller's rows, as the loop does
+        rng = np.random.default_rng(5)
+        y = np.repeat([1, 0], 20)
+        x = rng.normal(size=(40, 16)) + np.where(y == 1, 2.0, -2.0)[:, None]
+        x = np.asfortranarray(x[:, :8]) if layout == "fortran" else x[:, ::2]
+        assert_matches_loop(x, y, 3)
+
+    def test_planted_training_sets_at_paper_default(self, monkeypatch):
+        # 500 words per side, taken from the 2,500 most biased of each, as
+        # gbwr_classification takes them, on the original and both debiased sets
+        planted = build_planted(n_neutral=5000, dim=40, seed=8,
+                                coefficients=np.repeat([3.0, -3.0], 2500)
+                                * np.random.default_rng(8).uniform(0.05, 1.0, 5000))
+        original = planted.embeddings
+        part = partition(original, list(planted.gender_list))
+        lists = select_biased_words(original, part, 2500)
+        words = lists.male_biased[:500] + lists.female_biased[:500]
+        y = np.repeat([1, 0], 500)
+        config = HsrConfig(gender_list=planted.gender_list)
+        skipped = []
+        real_shrink = matrix_core._shrink
+
+        def counting_shrink(w, factors, stack):
+            skipped.append(factors.size)
+            real_shrink(w, factors, stack)
+
+        monkeypatch.setattr(matrix_core, "_shrink", counting_shrink)
+        for name, embeddings in (("original", original),
+                                 ("hsr", hsr_debias(original, config).embeddings),
+                                 ("hard", hard_debias(original, config).embeddings)):
+            skipped.clear()
+            assert_matches_loop(_rows(embeddings, words), y, 43)
+            if name == "original":  # separable with a wide margin: nearly every step skipped
+                assert sum(skipped) > 0.99 * 200 * 1000
 
 
 class TestExactCosineRows:

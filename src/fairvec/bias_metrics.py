@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,10 +119,14 @@ def _projections(embeddings: EmbeddingSet, rows: Iterable[int],
     differently). That also lets the rows be gathered and reduced in blocks
     of _PROJECTION_ROWS, so memory does not grow with their number. `rows`
     is read after he and she are looked up, so a lazy
-    map(embeddings.index, words) raises for the word a per-word loop would.
+    map(embeddings.index, words) raises for the word a per-word loop would;
+    an array or a sequence is taken as it is, not element by element.
     """
     direction = gender_direction(embeddings)
-    index = np.fromiter(rows, dtype=np.intp)
+    if isinstance(rows, Iterator):
+        index = np.fromiter(rows, dtype=np.intp)
+    else:
+        index = np.asarray(rows, dtype=np.intp)
     project = cosine_rows if normalized else functools.partial(np.einsum, "ij,j->i")
     values = np.empty(index.size)
     for start in range(0, index.size, _PROJECTION_ROWS):

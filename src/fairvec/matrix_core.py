@@ -223,18 +223,22 @@ def pearson(x, y) -> float:
 
 
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks; tied values share the average of their rank positions."""
+    """1-based ranks; tied values share the average of their rank positions.
+
+    -0.0 ties with 0.0, and every NaN is a group of its own.
+    """
     x = np.asarray(x, dtype=np.float64).ravel()
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.shape[0], dtype=np.float64)
-    i = 0
     n = x.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    if n < 2:
+        return np.ones(n)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    new_group = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    first = np.flatnonzero(new_group)
+    last = np.append(first[1:], n) - 1
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

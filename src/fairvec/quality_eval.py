@@ -7,6 +7,7 @@ vectors (Pearson, reported x100).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +16,10 @@ import numpy as np
 from .embedding_store import EmbeddingSet, LineSource, _data_lines
 from .errors import InputError, ParseError
 from .matrix_core import cosine_rows, pearson, spearman
+
+# Word pairs gathered and scored at once: each block's two gathers stay in
+# cache, so memory does not grow with the number of pairs.
+_PAIR_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -25,7 +30,7 @@ class WordPairDataset:
     def __post_init__(self):
         if not self.entries:
             raise InputError(f"word-pair dataset {self.name!r} is empty")
-        if not all(np.isfinite(score) for _, _, score in self.entries):
+        if not all(math.isfinite(score) for _, _, score in self.entries):
             raise InputError(f"word-pair dataset {self.name!r} has non-finite scores")
 
 
@@ -41,7 +46,7 @@ class SentencePairDataset:
         for s1, s2, score in self.entries:
             if not s1 or not s2:
                 raise InputError(f"sentence-pair dataset {self.name!r} has an empty sentence")
-            if not np.isfinite(score):
+            if not math.isfinite(score):
                 raise InputError(f"sentence-pair dataset {self.name!r} has non-finite scores")
 
 
@@ -53,14 +58,71 @@ def word_similarity_eval(
     Pairs with an out-of-vocabulary word are skipped and counted. Returns
     (spearman, used, skipped).
     """
-    usable = [entry for entry in data.entries if entry[0] in embeddings and entry[1] in embeddings]
-    if len(usable) < 2:
+    index = embeddings._index
+    n = len(data.entries)
+    first = np.fromiter((index.get(a, -1) for a, _, _ in data.entries), np.intp, count=n)
+    second = np.fromiter((index.get(b, -1) for _, b, _ in data.entries), np.intp, count=n)
+    usable = (first >= 0) & (second >= 0)
+    first, second = first[usable], second[usable]
+    if first.size < 2:
         raise InputError(f"dataset {data.name!r}: fewer than 2 usable pairs")
-    index = embeddings.index
-    model = cosine_rows(embeddings.vectors[[index(a) for a, _, _ in usable]],
-                        embeddings.vectors[[index(b) for _, b, _ in usable]])
-    human = [score for _, _, score in usable]
-    return spearman(human, model), len(usable), len(data.entries) - len(usable)
+    human = np.fromiter((score for _, _, score in data.entries), np.float64, count=n)[usable]
+    # cosine_rows reduces each row on its own, so blocking changes no bit.
+    model = np.empty(first.size)
+    vectors = embeddings.vectors
+    for start in range(0, first.size, _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        model[block] = cosine_rows(vectors[first[block]], vectors[second[block]])
+    return spearman(human, model), first.size, n - first.size
+
+
+def _sentence_embeddings(embeddings: EmbeddingSet, sentences: Sequence[Sequence[str]]
+                         ) -> np.ndarray:
+    """(len(sentences), dim) mean in-vocabulary token vectors; zero rows for
+    sentences with no known token.
+
+    Each sentence's rows are summed in sorted index order (with
+    multiplicity), starting from zero, and the sum is divided by their
+    number: bitwise np.add.reduce(vectors[sorted rows], axis=0) / k per
+    sentence, and so the same under token reordering. Sentences are ordered
+    longest first, so the ones still summing at token position p are a
+    prefix and each step gathers one row per sentence: no temporary is
+    larger than the result.
+    """
+    index = embeddings._index
+    n = len(sentences)
+    lengths = np.fromiter(map(len, sentences), np.intp, count=n)
+    rows = np.fromiter((index.get(w, -1) for sentence in sentences for w in sentence),
+                       np.intp, count=int(lengths.sum()))
+    owner = np.repeat(np.arange(n), lengths)
+    known = rows >= 0
+    rows, owner = rows[known], owner[known]
+    # owner is non-decreasing, so one sort of owner * len(vectors) + row
+    # sorts each sentence's rows and leaves the sentences where they are.
+    vectors = embeddings.vectors
+    keys = owner * len(vectors) + rows
+    keys.sort()
+    rows = keys - owner * len(vectors)
+    counts = np.bincount(owner, minlength=n)
+    longest_first = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[longest_first]
+    counts = counts[longest_first]
+    sums = np.zeros((n, embeddings.dim))
+    if embeddings.dim == 1:
+        # numpy reduces a (k, 1) gather as one contiguous run, pairwise from
+        # 8 terms on rather than row by row; reduce each sentence that way.
+        for i, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+            sums[i] = np.add.reduce(vectors[rows[start:start + count]], axis=0)
+    else:
+        # active[p]: how many sentences have more than p known tokens.
+        active = np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left")
+        for p, c in enumerate(active.tolist()):
+            sums[:c] += vectors[rows[starts[:c] + p]]
+    summed = int(np.count_nonzero(counts))
+    sums[:summed] /= counts[:summed, None]
+    result = np.empty_like(sums)
+    result[longest_first] = sums
+    return result
 
 
 def sentence_embedding(embeddings: EmbeddingSet, sentence: Sequence[str]) -> np.ndarray:
@@ -69,12 +131,7 @@ def sentence_embedding(embeddings: EmbeddingSet, sentence: Sequence[str]) -> np.
     Rows are summed in sorted index order (with multiplicity), so the result
     is bitwise identical under token reordering.
     """
-    index = embeddings._index
-    rows = sorted(index[w] for w in sentence if w in index)
-    if not rows:
-        return np.zeros(embeddings.dim)
-    # The sum and division of .mean(axis=0), without its Python-level overhead.
-    return np.add.reduce(embeddings.vectors[rows], axis=0) / len(rows)
+    return _sentence_embeddings(embeddings, [sentence])[0]
 
 
 def sts_eval(embeddings: EmbeddingSet, data: SentencePairDataset) -> tuple[float, int, int]:
@@ -84,8 +141,8 @@ def sts_eval(embeddings: EmbeddingSet, data: SentencePairDataset) -> tuple[float
     a single zero side scores cosine 0 and stays in. Returns
     (pearson_x100, used, skipped).
     """
-    first = np.stack([sentence_embedding(embeddings, s1) for s1, _, _ in data.entries])
-    second = np.stack([sentence_embedding(embeddings, s2) for _, s2, _ in data.entries])
+    first = _sentence_embeddings(embeddings, [s1 for s1, _, _ in data.entries])
+    second = _sentence_embeddings(embeddings, [s2 for _, s2, _ in data.entries])
     used = first.any(axis=1) | second.any(axis=1)
     n_used = int(np.count_nonzero(used))
     if n_used < 2:
@@ -123,7 +180,7 @@ def _scored_pairs(source: LineSource, pair) -> tuple:
             score = float(fields[2])
         except ValueError:
             raise ParseError(f"line {lineno}: score {fields[2]!r} is not a number") from None
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             raise ParseError(f"line {lineno}: score {fields[2]!r} is not finite")
         entries.append((first, second, score))
     return tuple(entries)

@@ -45,6 +45,25 @@ def rank_oracle(values):
     return ranks
 
 
+def average_ranks_oracle(values):
+    """Average-tie ranks by a walk over the stable sort order: the reference
+    that fairvec's average_ranks reproduces bit for bit. A group runs while
+    values equal its first one, so -0.0 ties with 0.0 and every NaN stands
+    alone."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.shape[0], dtype=np.float64)
+    i = 0
+    n = x.shape[0]
+    while i < n:
+        j = i
+        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def pearson_oracle(x, y):
     n = len(x)
     mean_x = math.fsum(x) / n
@@ -57,6 +76,17 @@ def pearson_oracle(x, y):
 
 def spearman_oracle(x, y):
     return pearson_oracle(rank_oracle(x), rank_oracle(y))
+
+
+def sentence_embedding_oracle(vectors, index, sentence):
+    """Mean of the known token rows of one sentence, one sentence at a time:
+    the rows (index[w] for known w, with multiplicity) in sorted order,
+    reduced by np.add.reduce over axis 0 and divided by their number; a zero
+    vector if no token is known."""
+    rows = sorted(index[w] for w in sentence if w in index)
+    if not rows:
+        return np.zeros(vectors.shape[1])
+    return np.add.reduce(vectors[rows], axis=0) / len(rows)
 
 
 def sse_of_assignment(points, assignment, k):

@@ -67,6 +67,25 @@ class TestBiasByProjection:
             bias_by_projection(tiny, "nope")
 
 
+class _NoIteration(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("rows were read element by element")
+
+
+class TestProjections:
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_index_array_read_whole(self, normalized):
+        rng = np.random.default_rng(15)
+        words = ("he", "she") + tuple(f"w{i}" for i in range(40))
+        embeddings = embedding_from(words, rng.normal(size=(42, 5)))
+        rows = rng.integers(0, 42, size=30)
+        expected = _projections(embeddings, rows.tolist(), normalized)
+        ours = _projections(embeddings, rows.view(_NoIteration), normalized)
+        assert ours.tobytes() == expected.tobytes()
+        assert _projections(embeddings, iter(rows.tolist()), normalized).tobytes() == \
+            expected.tobytes()
+
+
 class TestMeanAbsProjectionBias:
     def test_orthogonal_lists_zero(self):
         embeddings = embedding_from(

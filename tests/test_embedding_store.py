@@ -521,6 +521,21 @@ class TestNearestNeighbors:
         assert nearest_neighbors(embeddings, 3, 5) == oracles.neighbors_oracle(
             vectors, 3, 5, range(10))
 
+    def test_parallel_rows_tie_by_index(self):
+        # Scaled copies of one direction have equal cosines: every product and
+        # norm here is exact, so each cosine is the same rational rounded once.
+        # The lower index must rank first within every tie, whatever the scale.
+        v = [1.0, 2.0, 2.0]
+        q = [2.0, 3.0, 6.0]
+        rows = [q, [3 * x for x in v], [0.0, 0.0, 1.0], [2 * x for x in q], v,
+                [0.5 * x for x in v], [-x for x in v], [0.25 * x for x in q],
+                [-3 * x for x in v], [1024 * x for x in v]]
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(10)), np.array(rows))
+        # cosines with row 0: 1 (3, 7), 20/21 (1, 4, 5, 9), 6/7 (2), -20/21 (6, 8)
+        assert nearest_neighbors(embeddings, 0, 9) == [3, 7, 1, 4, 5, 9, 2, 6, 8]
+        assert nearest_neighbors(embeddings, 4, 3) == [1, 5, 9]
+        assert nearest_neighbors(embeddings, 6, 1) == [8]
+
     def test_prefix_property(self):
         rng = np.random.default_rng(10)
         vectors = np.round(rng.normal(size=(12, 3)), 1)

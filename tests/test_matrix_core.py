@@ -199,6 +199,20 @@ class TestSpearman:
         ref = oracles.rank_oracle(values)
         assert np.allclose(ours, ref, atol=1e-12)
 
+    def test_average_ranks_short_inputs(self):
+        assert average_ranks([]).tobytes() == np.empty(0).tobytes()
+        assert average_ranks([float("nan")]).tolist() == [1.0]
+        assert average_ranks([-0.0, 0.0, -0.0]).tolist() == [2.0, 2.0, 2.0]
+        assert average_ranks([float("nan"), 1.0, float("nan")]).tolist() == [2.0, 1.0, 3.0]
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, float("nan"), 1.0, -2.5]),
+                              st.floats(allow_subnormal=True)), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_bitwise_equal_to_loop(self, values):
+        # ties, -0.0 beside 0.0, NaN and lengths 0 to 200
+        ours = average_ranks(values)
+        assert ours.tobytes() == oracles.average_ranks_oracle(values).tobytes()
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=25).tolist()

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,6 +27,8 @@ from fairvec import (
     word_similarity_eval,
     yearly_average,
 )
+from fairvec.matrix_core import cosine_rows, pearson, spearman
+from fairvec.quality_eval import _sentence_embeddings
 
 
 @pytest.fixture
@@ -103,6 +106,42 @@ class TestWordSimilarity:
         scaled = EmbeddingSet(words=vocab10.words, vectors=vocab10.vectors * 7.5)
         assert word_similarity_eval(vocab10, data) == word_similarity_eval(scaled, data)
 
+    @pytest.mark.parametrize("n_pairs", [127, 128, 129, 300])
+    def test_block_boundaries_change_nothing(self, n_pairs):
+        # Pairs are scored in fixed blocks; the value must be bitwise that of
+        # one cosine_rows over every pair.
+        rng = np.random.default_rng(n_pairs)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(50)), rng.normal(size=(50, 7)))
+        first, second = rng.integers(0, 50, size=(2, n_pairs))
+        human = rng.normal(size=n_pairs)
+        data = WordPairDataset("blocks", tuple(
+            (f"w{a}", f"w{b}", float(h)) for a, b, h in zip(first, second, human)))
+        expected = spearman(human, cosine_rows(embeddings.vectors[first],
+                                               embeddings.vectors[second]))
+        assert word_similarity_eval(embeddings, data) == (expected, n_pairs, 0)
+
+    def test_memory_does_not_grow_with_pairs(self):
+        # Pairs are gathered in blocks of 128, so the traced peak is a few
+        # blocks (0.3 MB each side at 300 dims) plus a few values per pair;
+        # gathering one side of every pair at once takes 2.4 MB at 1,000 pairs
+        # and 38 MB at 16,000.
+        rng = np.random.default_rng(14)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(2000)),
+                                  rng.normal(size=(2000, 300)))
+        for n_pairs in (1000, 16000):
+            first, second = rng.integers(0, 2000, size=(2, n_pairs))
+            data = WordPairDataset("big", tuple(
+                (f"w{a}", f"w{b}", float(h))
+                for a, b, h in zip(first, second, rng.normal(size=n_pairs))))
+            tracemalloc.start()
+            try:
+                _, used, _ = word_similarity_eval(embeddings, data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert used == n_pairs
+            assert peak < 4 * 2**20, (n_pairs, peak)
+
     def test_monotone_transform_of_human_scores(self, vocab10):
         pairs = [("w0", "w1"), ("w2", "w3"), ("w4", "w5")]
         base = pair_dataset(vocab10, pairs, [3.0, 1.0, 2.0])
@@ -160,6 +199,34 @@ class TestSentenceEmbedding:
             assert result.tobytes() == embeddings.vectors[known].mean(axis=0).tobytes()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda dim: st.lists(
+            st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(-1e6, 1e6, allow_subnormal=True)),
+                     min_size=dim, max_size=dim),
+            min_size=1, max_size=8)),
+        st.lists(st.lists(st.integers(0, 11), max_size=40), max_size=8),
+    )
+    @example(rows=[[-0.0, 1.0], [2.0, -0.0]], picks=[[0], [1, 1], [], [9], [1, 0, 1], [0, 9]])
+    @example(rows=[[-0.0]], picks=[[0], [0] * 9, [0, 1, 0]])
+    @example(rows=[[1.0], [1e-16]], picks=[[0] + [1] * 8])  # dim 1 sums pairwise
+    def test_batch_bitwise_equal_to_oracle(self, rows, picks):
+        # Duplicates, all-OOV and empty sentences, -0.0 rows and mixed lengths
+        # in one batch; picks past the last row are out-of-vocabulary tokens.
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(len(rows))), np.array(rows))
+        sentences = [[f"w{i}" for i in sentence] for sentence in picks]
+        batch = _sentence_embeddings(embeddings, sentences)
+        reordered = _sentence_embeddings(embeddings, [s[::-1] for s in sentences])
+        assert batch.shape == (len(sentences), embeddings.dim)
+        for sentence, ours, theirs in zip(sentences, batch, reordered):
+            expected = oracles.sentence_embedding_oracle(
+                embeddings.vectors, embeddings._index, sentence)
+            assert ours.tobytes() == expected.tobytes()
+            assert theirs.tobytes() == expected.tobytes()
+            assert sentence_embedding(embeddings, sentence).tobytes() == expected.tobytes()
+
+
 class TestStsEval:
     def sentences(self, vocab10, n=4):
         rng = np.random.default_rng(61)
@@ -199,6 +266,23 @@ class TestStsEval:
             for s1, s2 in pairs
         ]
         assert value == pytest.approx(100.0 * oracles.pearson_oracle(human, cosines), abs=1e-9)
+
+    def test_bitwise_equal_to_oracle(self, vocab10):
+        rng = np.random.default_rng(62)
+        tokens = [f"w{i}" for i in range(10)] + ["ghost"]
+        entries = tuple(
+            (tuple(rng.choice(tokens, size=rng.integers(1, 13))),
+             tuple(rng.choice(tokens, size=rng.integers(1, 13))), float(rng.normal()))
+            for _ in range(40))
+        data = SentencePairDataset(name="toy", entries=entries)
+        first, second = (np.array([oracles.sentence_embedding_oracle(
+            vocab10.vectors, vocab10._index, entry[side]) for entry in entries])
+            for side in (0, 1))
+        used = first.any(axis=1) | second.any(axis=1)
+        human = np.array([score for _, _, score in entries])[used]
+        expected = pearson(human, cosine_rows(first[used], second[used])) * 100.0
+        n_used = int(used.sum())
+        assert sts_eval(vocab10, data) == (expected, n_used, len(entries) - n_used)
 
     def test_both_zero_pairs_skipped(self, vocab10):
         entries = (

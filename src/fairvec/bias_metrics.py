@@ -42,7 +42,7 @@ DEFAULT_NEIGHBORS = 100
 WEAT_EXACT_LIMIT = 100_000
 WEAT_SAMPLES = 10_000
 SIGNIFICANCE_LEVEL = 0.05
-# Rows gathered at once for projections on he - she.
+# Rows projected at once on he - she.
 _PROJECTION_ROWS = 1024
 
 
@@ -116,8 +116,11 @@ def _projections(embeddings: EmbeddingSet, rows: Iterable[int],
 
     Each row is reduced on its own, so a word's value does not depend on the
     batch (a 2-D `@` sends one row to BLAS ddot and more to gemv, which round
-    differently). That also lets the rows be gathered and reduced in blocks
-    of _PROJECTION_ROWS, so memory does not grow with their number. `rows`
+    differently). That also lets the rows be reduced in blocks of
+    _PROJECTION_ROWS, so memory does not grow with their number. A block is
+    gathered, except when its rows ascend and span at most twice their
+    number, as every neutral row does: then the rows it spans are reduced in
+    place and the ones asked for kept, which copies no row. `rows`
     is read after he and she are looked up, so a lazy
     map(embeddings.index, words) raises for the word a per-word loop would;
     an array or a sequence is taken as it is, not element by element.
@@ -128,10 +131,15 @@ def _projections(embeddings: EmbeddingSet, rows: Iterable[int],
     else:
         index = np.asarray(rows, dtype=np.intp)
     project = cosine_rows if normalized else functools.partial(np.einsum, "ij,j->i")
+    vectors = embeddings.vectors
     values = np.empty(index.size)
     for start in range(0, index.size, _PROJECTION_ROWS):
-        block = slice(start, start + _PROJECTION_ROWS)
-        values[block] = project(embeddings.vectors[index[block]], direction)
+        block = index[start:start + _PROJECTION_ROWS]
+        lo, hi = int(block[0]), int(block[-1]) + 1
+        if hi - lo <= 2 * block.size and np.all(block[1:] >= block[:-1]):
+            values[start:start + block.size] = project(vectors[lo:hi], direction)[block - lo]
+        else:
+            values[start:start + block.size] = project(vectors[block], direction)
     return values
 
 

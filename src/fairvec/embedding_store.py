@@ -13,8 +13,13 @@ text file. The dataset loaders skip blank and comment lines through
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
+import shutil
+import signal
+import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -386,6 +391,52 @@ def _write_rows(dim: int) -> int:
     return max(2, _WRITE_VALUES // max(dim, 1))
 
 
+def _write_range(embeddings: EmbeddingSet, start: int, stop: int, sink: IO[str]) -> None:
+    """Write rows start:stop in the save format, block by block; a range
+    that starts at row 0 gets the header when the rule asks for one."""
+    step = _write_rows(embeddings.dim)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        rows = _text_rows(embeddings.words[lo:hi], embeddings.vectors[lo:hi])
+        if lo == 0 and len(rows) >= 2 and _is_header(rows[0], rows[1]):
+            sink.write(f"{len(embeddings)} {embeddings.dim}\n")
+        sink.write("".join(rows))
+
+
+def _writers(blocks: int) -> int:
+    """Processes that format a save of `blocks` write blocks: one per usable
+    CPU, each with at least two blocks. One, the calling process alone, where
+    the platform cannot fork or report its usable CPUs, or where another
+    Python thread is alive, since a forked child holds only the calling
+    thread and any lock another one held stays locked there."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), blocks // 2))
+
+
+def _fork_writer(embeddings: EmbeddingSet, start: int, stop: int, spool: IO[str]) -> int:
+    """Fork a process that writes rows start:stop to `spool` and exits; its pid.
+
+    The child shares the matrix with the caller copy-on-write. It leaves
+    through os._exit, so no finally block, context manager or atexit handler
+    of the caller's stack runs twice, and reports a failure on stderr and in
+    its exit status.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        _write_range(embeddings, start, stop, spool)
+        spool.flush()
+        code = 0
+    except BaseException as exc:  # the child ends here whatever was raised
+        os.write(2, f"fairvec: writing rows {start}-{stop} failed: {exc!r}\n".encode())
+    finally:
+        os._exit(code)
+
+
 def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     """Write the set in the load format.
 
@@ -393,14 +444,39 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     reconstruct each float64 exactly, so load(save(x)) is bit-identical. A
     "count dim" header is written only when the loader would take the first
     row for one. Rows are formatted and written in fixed blocks.
+
+    The blocks are split into contiguous ranges, one per process that
+    _writers allows. Each range after the first is formatted by a forked
+    child into an unlinked temporary file; this process writes the first
+    range to `sink` and then copies each child's text after it, in order, so
+    `sink` receives the same text as from one process. Children still
+    running when this function exits, by return or by raise, are killed;
+    every child is reaped, and a failed child raises OSError.
     """
-    step = _write_rows(embeddings.dim)
-    for start in range(0, len(embeddings), step):
-        rows = _text_rows(embeddings.words[start:start + step],
-                          embeddings.vectors[start:start + step])
-        if start == 0 and len(rows) >= 2 and _is_header(rows[0], rows[1]):
-            sink.write(f"{len(embeddings)} {embeddings.dim}\n")
-        sink.write("".join(rows))
+    n, step = len(embeddings), _write_rows(embeddings.dim)
+    blocks = -(-n // step)
+    count = _writers(blocks)
+    bounds = [step * (blocks * i // count) for i in range(count)] + [n]
+    children: list[tuple[int, IO[str]]] = []  # forked and not yet reaped, in row order
+    with contextlib.ExitStack() as spools:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                spool = spools.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                children.append((_fork_writer(embeddings, start, stop, spool), spool))
+            _write_range(embeddings, 0, bounds[1], sink)
+            while children:
+                pid, spool = children[0]
+                status = os.waitpid(pid, 0)[1]
+                del children[0]
+                if status:
+                    raise OSError("a process formatting embedding rows failed "
+                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+                spool.seek(0)
+                shutil.copyfileobj(spool, sink, 1 << 20)
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes]) -> None:

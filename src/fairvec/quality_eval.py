@@ -7,6 +7,7 @@ vectors (Pearson, reported x100).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -92,8 +93,8 @@ def _sentence_embeddings(embeddings: EmbeddingSet, sentences: Sequence[Sequence[
     index = embeddings._index
     n = len(sentences)
     lengths = np.fromiter(map(len, sentences), np.intp, count=n)
-    rows = np.fromiter((index.get(w, -1) for sentence in sentences for w in sentence),
-                       np.intp, count=int(lengths.sum()))
+    rows = np.fromiter(map(index.get, itertools.chain.from_iterable(sentences),
+                           itertools.repeat(-1)), np.intp, count=int(lengths.sum()))
     owner = np.repeat(np.arange(n), lengths)
     known = rows >= 0
     rows, owner = rows[known], owner[known]

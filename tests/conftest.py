@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,3 +102,28 @@ def write_embedding_file(path, embeddings: EmbeddingSet) -> None:
 
     with open(path, "w", encoding="utf-8") as handle:
         save_embeddings(embeddings, handle)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Small write blocks and four usable CPUs, so that a save of a few dozen
+    rows forks; the list grows by one per fork."""
+    from fairvec import embedding_store
+
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forked.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(embedding_store, "_WRITE_VALUES", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

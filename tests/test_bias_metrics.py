@@ -144,6 +144,24 @@ class TestSelectBiasedWords:
             assert len(lists.all_words()) == 20
             assert peak < 4 * 2**20, (n_rows, peak)
 
+    def test_every_neutral_row_projected_without_a_gather(self):
+        # Neutral rows ascend with a few gaps where the definition words sit,
+        # so each block is projected in place: no 1,024 x 300 copy of rows
+        # (2.4 MB) is made, only a few values per row.
+        rng = np.random.default_rng(17)
+        n_rows, dim = 5000, 300
+        words = ("he", "she") + tuple(f"w{i}" for i in range(n_rows - 2))
+        embeddings = embedding_from(words, rng.normal(size=(n_rows, dim)))
+        part = partition(embeddings, ["he", "she", "w10", "w2000", "w4000"])
+        tracemalloc.start()
+        try:
+            lists = select_biased_words(embeddings, part, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lists.all_words()) == 20
+        assert peak < 1024 * dim * 8 // 4, peak
+
     def test_signs_split(self, planted):
         part = partition(planted.embeddings, list(planted.gender_list))
         lists = select_biased_words(planted.embeddings, part, 5)
@@ -781,6 +799,28 @@ class TestOneProjectionPerWord:
             for word, _, bias in points:
                 assert type(bias) is float
                 assert repr(bias) == repr(bias_by_projection(embeddings, word, normalized))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 60), st.integers(1, 24),
+           st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_projected_in_place_equal_the_gather_bitwise(self, seed, n_neutral, dim,
+                                                              keep):
+        # Ascending rows with few gaps take the in-place path, sparse or
+        # unordered ones the gather; small blocks mix both in one call.
+        rng, embeddings = self.random_set(seed, n_neutral, dim)
+        n = len(embeddings)
+        ascending = np.flatnonzero(rng.random(n) < keep)
+        ascending = np.sort(np.concatenate([ascending, rng.choice(n, size=3)]))
+        direction = embeddings.vector("he") - embeddings.vector("she")
+        gathered = {False: lambda rows: np.einsum("ij,j->i", embeddings.vectors[rows], direction),
+                    True: lambda rows: cosine_rows(embeddings.vectors[rows], direction)}
+        for block in (1024, 5):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bias_metrics, "_PROJECTION_ROWS", block)
+                for rows in (ascending, rng.permutation(ascending), np.arange(n)[::-1]):
+                    for normalized in (False, True):
+                        ours = _projections(embeddings, rows, normalized)
+                        assert ours.tobytes() == gathered[normalized](rows).tobytes()
 
     @pytest.mark.parametrize("block", [3, 1024])
     def test_whole_matrix_equals_single_words_bitwise(self, monkeypatch, block):

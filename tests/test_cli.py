@@ -9,13 +9,14 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fairvec
-from conftest import build_planted, write_embedding_file
+from conftest import assert_no_child_left, build_planted, write_embedding_file
 from fairvec import (
     EmbeddingSet,
     bias_by_projection,
@@ -225,6 +226,53 @@ class TestDebiasCommand:
         for path in (out, Path(str(out) + ".meta.json"), Path(str(out) + ".npz")):
             assert stat.S_IMODE(path.stat().st_mode) == mode
         assert not [p.name for p in workdir["dir"].iterdir() if p.name.startswith(".tmp-")]
+
+    def test_forked_write_matches_one_process(self, workdir, monkeypatch, forks):
+        # 64 rows in blocks of 5: this process and three children write a range each.
+        spool = workdir["dir"] / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        written = {}
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = workdir["dir"] / f"cpus{len(cpus)}.txt"
+            assert main(["debias", "--embeddings", workdir["emb"],
+                         "--gender-list", workdir["gender"], "--out", str(out)]) == 0
+            written[len(cpus)] = out.read_bytes(), Path(f"{out}.npz").read_bytes()
+        assert len(forks) == 3
+        assert written[4] == written[1]
+        assert list(spool.iterdir()) == []
+        assert_no_child_left()
+
+    def test_failed_write_process_leaves_nothing(self, workdir, monkeypatch, forks, capfd):
+        from fairvec import embedding_store
+
+        spool = workdir["dir"] / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        parent = os.getpid()
+        real_text_rows = embedding_store._text_rows
+
+        def failing_in_children(words, vectors):
+            if os.getpid() != parent:
+                raise OSError(28, "No space left on device")
+            return real_text_rows(words, vectors)
+
+        monkeypatch.setattr(embedding_store, "_text_rows", failing_in_children)
+        before = sorted(workdir["dir"].iterdir())
+        open_files = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+        code = main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                     "--out", str(workdir["dir"] / "failed.txt")])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert "No space left on device" in err
+        assert "error: a process formatting embedding rows failed" in err
+        assert sorted(workdir["dir"].iterdir()) == before  # no <out>, .npz or .tmp- file
+        assert list(spool.iterdir()) == []
+        if open_files:
+            assert len(os.listdir("/proc/self/fd")) == open_files
+        assert forks
+        assert_no_child_left()
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import fairvec
 import oracles
+from conftest import assert_no_child_left
 from fairvec import (
     ConfigError,
     EmbeddingSet,
@@ -387,6 +390,89 @@ class TestSaveMatchesPerValueFormat:
         sink = io.StringIO()
         save_embeddings(embeddings, sink)
         assert sink.getvalue() == per_value_text(embeddings)
+
+
+def saved_text(embeddings: EmbeddingSet) -> str:
+    sink = io.StringIO()
+    save_embeddings(embeddings, sink)
+    return sink.getvalue()
+
+
+class TestSaveFanOut:
+    @pytest.mark.parametrize("dim", [1, 3, 300])
+    @pytest.mark.parametrize("rows", ["0", "1", "2", "block - 1", "block + 1", "many"])
+    def test_same_text_as_one_process(self, forks, monkeypatch, dim, rows):
+        # The first row reads as a header at dim 1; values outside [1e-4, 1e16)
+        # take the "%" fallback; non-ASCII words span several bytes.
+        block = embedding_store._write_rows(dim)
+        n_rows = {"0": 0, "1": 1, "2": 2, "block - 1": block - 1, "block + 1": block + 1,
+                  "many": 9 * block + 1}[rows]
+        values = np.resize(curated_values(), (n_rows, dim))
+        values[:1] = 1.0
+        words = tuple(["12"] + [("café", "日本", "w")[i % 3] + str(i) for i in range(1, n_rows)])
+        embeddings = EmbeddingSet(words[:n_rows], values)
+        forked = saved_text(embeddings)
+        assert bool(forks) == (rows == "many")
+        assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert forked.encode("utf-8") == saved_text(embeddings).encode("utf-8")
+        header = f"{n_rows} 1\n" if dim == 1 and n_rows >= 2 else ""
+        assert forked == header + per_value_text(embeddings)
+
+    def test_one_range_per_cpu(self, forks):
+        block = embedding_store._write_rows(2)
+        rng = np.random.default_rng(14)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(40 * block)),
+                                  rng.normal(size=(40 * block, 2)))
+        assert saved_text(embeddings) == per_value_text(embeddings)
+        assert len(forks) == 3  # four CPUs: three children and this process
+
+    @pytest.mark.parametrize("who", ["child", "parent"])
+    def test_a_failed_range_raises_and_leaves_no_child(self, forks, monkeypatch, capfd, who):
+        parent = os.getpid()
+        real_text_rows = embedding_store._text_rows
+
+        def failing(words, vectors):
+            if (os.getpid() == parent) == (who == "parent"):
+                raise MemoryError("planted")
+            return real_text_rows(words, vectors)
+
+        monkeypatch.setattr(embedding_store, "_text_rows", failing)
+        block = embedding_store._write_rows(4)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(20 * block)),
+                                  np.ones((20 * block, 4)))
+        with pytest.raises(OSError if who == "child" else MemoryError):
+            saved_text(embeddings)
+        assert len(forks) == 3
+        assert_no_child_left()
+        if who == "child":
+            assert "MemoryError('planted')" in capfd.readouterr().err
+
+    def test_one_cpu_writes_in_this_process(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(200)), np.ones((200, 3)))
+        assert saved_text(embeddings) == per_value_text(embeddings)
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(200)), np.ones((200, 3)))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert saved_text(embeddings) == per_value_text(embeddings)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_platform_without_fork_or_affinity(self, forks, monkeypatch, missing):
+        monkeypatch.delattr(os, missing)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(200)), np.ones((200, 3)))
+        assert saved_text(embeddings) == per_value_text(embeddings)
+        assert forks == []
 
 
 class TestEmbeddingSet:

@@ -173,25 +173,16 @@ def select_biased_words(
     neutral = part.neutral_indices
     proj = _projections(embeddings, neutral)
 
-    male_mask = proj > 0
-    female_mask = proj < 0
-    if int(male_mask.sum()) < n_per_gender:
-        raise InputError(
-            f"only {int(male_mask.sum())} male-biased candidates, need {n_per_gender}"
-        )
-    if int(female_mask.sum()) < n_per_gender:
-        raise InputError(
-            f"only {int(female_mask.sum())} female-biased candidates, need {n_per_gender}"
-        )
-
-    male_idx = neutral[male_mask]
-    male_order = np.lexsort((male_idx, -proj[male_mask]))
-    female_idx = neutral[female_mask]
-    female_order = np.lexsort((female_idx, proj[female_mask]))
-    return BiasedWordLists(
-        male_biased=tuple(embeddings.words[i] for i in male_idx[male_order[:n_per_gender]]),
-        female_biased=tuple(embeddings.words[i] for i in female_idx[female_order[:n_per_gender]]),
-    )
+    ranked = []
+    for side, sign in (("male", 1.0), ("female", -1.0)):
+        mask = sign * proj > 0
+        count = int(mask.sum())
+        if count < n_per_gender:
+            raise InputError(f"only {count} {side}-biased candidates, need {n_per_gender}")
+        rows = neutral[mask]
+        top = rows[np.lexsort((rows, -sign * proj[mask]))[:n_per_gender]]
+        ranked.append(tuple(embeddings.words[i] for i in top))
+    return BiasedWordLists(*ranked)
 
 
 def sembias_eval(
@@ -333,19 +324,20 @@ def weat_test(
     total = 2 * nx
 
     # Row 0 of `chosen` is the observed partition (X), so the reported
-    # statistic and every permuted one come from the same expression.
+    # statistic and every permuted one come from the same expression. Row i of
+    # `rest` is the ascending complement of row i of `chosen`; for subsets in
+    # lexicographic order, the complements are the subsets in reverse order.
     n_partitions = comb(total, nx)
     if n_partitions <= exact_limit:
         chosen = np.array(list(itertools.combinations(range(total), nx)))
+        rest = chosen[::-1]
     else:
         # one row per draw, the same stream as WEAT_SAMPLES rng.permutation calls
         draws = np.random.default_rng(seed).permuted(
             np.tile(np.arange(total), (WEAT_SAMPLES, 1)), axis=1
         )
         chosen = np.vstack([np.arange(nx), np.sort(draws[:, :nx], axis=1)])
-    in_x = np.zeros((chosen.shape[0], total), dtype=bool)
-    np.put_along_axis(in_x, chosen, True, axis=1)
-    rest = np.nonzero(~in_x)[1].reshape(chosen.shape[0], total - nx)
+        rest = np.vstack([np.arange(nx, total), np.sort(draws[:, nx:], axis=1)])
     statistics = s[chosen].sum(axis=1) - s[rest].sum(axis=1)
     statistic = float(statistics[0])
     p_value = int(np.count_nonzero(statistics >= statistic)) / statistics.size

@@ -538,10 +538,7 @@ def main(argv=None) -> int:
         parser.error(problem)
     try:
         return args.func(args)
-    except FairvecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FairvecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ vectors V_d = U S Q^T (ESL 3.4.1), with one SVD per set and gender list.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +23,11 @@ DEFAULT_ALPHA = 60.0
 
 # Projections at round-off level are left alone, so hard_debias is exactly idempotent.
 _PROJECTION_SNAP = 1e-13
+
+# hsr fits (partition, basis, singular values) by set and gender list. A set
+# never changes, so a fit stays valid while the set lives; the weak key frees
+# the fit with the set.
+_FITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class DebiasResult:
     """Debiased embeddings plus bookkeeping about how they were produced."""
 
     embeddings: EmbeddingSet
-    method: str  # "hsr" | "hard" | "none"
+    method: str  # "hsr" | "hard"
     gender_norm: float  # Frobenius norm of the subtracted gender component
     config: dict = field(default_factory=dict)
 
@@ -100,11 +106,11 @@ def hsr_debias(embeddings: EmbeddingSet, config: HsrConfig) -> DebiasResult:
     kept. Calls on one set with one gender list share the partition and SVD.
     """
     key = tuple(config.gender_list)
-    if key not in embeddings._debias_fits:
+    fits = _FITS.setdefault(embeddings, {})
+    if key not in fits:
         part = partition(embeddings, key)
-        embeddings._debias_fits[key] = (
-            part, *_principal_directions(embeddings.vectors[part.definition_indices]))
-    part, basis, singular = embeddings._debias_fits[key]
+        fits[key] = (part, *_principal_directions(embeddings.vectors[part.definition_indices]))
+    part, basis, singular = fits[key]
     return _debias(embeddings, part, part.neutral_indices, basis, singular, config.alpha,
                    "hsr", {"alpha": config.alpha})
 

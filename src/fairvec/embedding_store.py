@@ -65,16 +65,13 @@ def _data_lines(source: LineSource) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """An ordered vocabulary with one row vector per word."""
+    """An ordered vocabulary with one row vector per word; sets compare by identity."""
 
     words: tuple[str, ...]
     vectors: np.ndarray  # (|V|, dim), read-only after construction
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    # Debiasing fits by gender list, filled by the debias module; the set never
-    # changes, so a fit stays valid for its lifetime.
-    _debias_fits: dict = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self, index: dict[str, int] | None = None):
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -98,7 +95,6 @@ class EmbeddingSet:
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_debias_fits", {})
 
     @classmethod
     def _owning(cls, words: tuple[str, ...], vectors: np.ndarray,
@@ -136,7 +132,7 @@ class EmbeddingSet:
         return self.vectors[self.index(word)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordPartition:
     """Vocabulary split into gender-definition and remaining (neutral) indices."""
 
@@ -503,7 +499,7 @@ def _load_binary(path: str, text_sha256: str,
     set takes over the archive's matrix; only a capped load copies its rows.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
             if archive["sha256"].item() != text_sha256:
                 return None
             words = archive["words"].tobytes().decode("utf-8").split("\n")

@@ -36,7 +36,7 @@ _SHRINK_BLOCK = 256
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RidgeSolution:
     """Weight matrix and regularization constant of one ridge solve."""
 
@@ -265,8 +265,6 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     idx = int(rng.integers(n))
     centers[0] = points[idx]
-    if k == 1:
-        return centers
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for c in range(1, k):
         total = d2.sum()
@@ -291,7 +289,6 @@ def _lloyd(points: np.ndarray,
     k = centers.shape[0]
     centers = centers.copy()
     history: list[float] = []
-    assignments = np.zeros(points.shape[0], dtype=np.int64)
     # Distances to the current centers; each iteration's post-update
     # distances serve the next iteration's assignment step.
     d2 = _squared_distances(points, centers)
@@ -357,7 +354,7 @@ def purity(assignments, labels) -> float:
     return majority_total / n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Linear decision rule: predict 1 when w.x + b > 0, else 0."""
 
@@ -526,10 +523,6 @@ def _shrink(w: np.ndarray, factors: np.ndarray, stack: np.ndarray) -> None:
     A multiply reduction down the rows of [w; f1; f2; ...] multiplies each
     column left to right, as the in-place loop does, in one call per block.
     """
-    if factors.size < 4:
-        for factor in factors.tolist():
-            np.multiply(w, factor, out=w)
-        return
     block = len(stack) - 1
     for start in range(0, factors.size, block):
         chunk = factors[start:start + block]

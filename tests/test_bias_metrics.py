@@ -207,6 +207,16 @@ class TestSelectBiasedWords:
         assert lists.male_biased == ("a",)
         assert lists.female_biased == ("c",)
 
+    @pytest.mark.parametrize("vectors, side", [
+        ([[1, 0], [0, 1], [2, 0], [3, 0], [-2, 0]], "female"),
+        ([[1, 0], [0, 1], [2, 0], [0, 0], [-2, 0]], "male"),  # both sides short
+    ])
+    def test_short_side_named(self, vectors, side):
+        embeddings = embedding_from(["he", "she", "a", "b", "c"], vectors)
+        part = partition(embeddings, ["he", "she"])
+        with pytest.raises(InputError, match=f"^only 1 {side}-biased candidates, need 2$"):
+            select_biased_words(embeddings, part, 2)
+
     def test_zero_projection_words_on_neither_side(self):
         embeddings = embedding_from(
             ["he", "she", "a", "b", "z"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +362,17 @@ class TestBinaryCopy:
         assert self.eval_outputs(workdir, hsr, "quality") == expected
         assert text_parses == ["emb.txt", "hsr.txt"]
 
+    def test_truncated_binary_copy_leaves_no_open_file(self, workdir):
+        hsr = self.debias(workdir, "hsr.txt")
+        copy = Path(hsr + ".npz")
+        copy.write_bytes(copy.read_bytes()[:-1])
+        digest = hashlib.sha256(Path(hsr).read_bytes()).hexdigest()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _load_binary(str(copy), digest) is None
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_chained_debias_reads_binary_copy(self, workdir, text_parses):
         hsr = self.debias(workdir, "hsr.txt")
         twice = self.debias(workdir, "twice.txt", source=hsr)
@@ -522,7 +535,7 @@ class TestEvalCommand:
                 ],
             )
             assert code == 0
-        first, second = (open(o, "rb").read() for o in outs)
+        first, second = (Path(o).read_bytes() for o in outs)
         assert first == second
 
     def test_quality_values_match_library(self, workdir):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +232,16 @@ class TestHsrDebias:
         config = HsrConfig(gender_list=("zz",) + planted.gender_list + ("notaword",))
         result = method(planted.embeddings, config)
         assert result.config["gender_words_missing_names"] == ["zz", "notaword"]
+
+    def test_fit_does_not_keep_the_set_alive(self):
+        planted = build_planted(n_neutral=20, dim=6, n_definition=3, seed=8)
+        embeddings = EmbeddingSet(planted.embeddings.words, planted.embeddings.vectors)
+        result = hsr_debias(embeddings, HsrConfig(planted.gender_list))
+        alive = weakref.ref(embeddings)
+        del embeddings
+        gc.collect()
+        assert alive() is None
+        assert result.embeddings.words == planted.embeddings.words
 
     def test_config_validation(self):
         with pytest.raises(InputError):

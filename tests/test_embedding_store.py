@@ -498,6 +498,21 @@ class TestEmbeddingSet:
         assert "zzz" not in tiny
         assert "he" in tiny
 
+    def test_array_records_compare_by_identity(self):
+        # Comparing array fields by value has no single truth value, so sets
+        # and the other array records compare and hash by identity.
+        records = [
+            lambda: EmbeddingSet(("x", "y"), np.eye(2)),
+            lambda: partition(EmbeddingSet(("x", "y"), np.eye(2)), ["x"]),
+            lambda: fairvec.LinearClassifier(np.ones(2), 0.5),
+            lambda: fairvec.RidgeSolution(np.eye(2), 1.0),
+        ]
+        for make in records:
+            first, second = make(), make()
+            assert first == first
+            assert first != second
+            assert len({first, second}) == 2
+
 
 class TestWordList:
     def test_comments_and_blanks_skipped(self):

@@ -203,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="NAME=PATH", help="sentence-pair dataset (repeatable)")
     evaluate.add_argument("--top-biased", type=_positive_int, default=500,
                           help="biased words per gender for the relation pool (default 500)")
-    evaluate.add_argument("--neighbors", type=_positive_int, default=100,
-                          help="neighborhood size k (default 100)")
+    evaluate.add_argument("--neighbors", type=_positive_int,
+                          default=bias_metrics.DEFAULT_NEIGHBORS,
+                          help="neighborhood size k (default %(default)s)")
     evaluate.add_argument("--classify-n", type=_positive_int, default=2500,
                           help="biased words per gender for classification (default 2500)")
     evaluate.add_argument("--classify-train", type=_positive_int, default=500,

@@ -10,7 +10,7 @@ vectors V_d = U S Q^T (ESL 3.4.1), with one SVD per set and gender list.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ class DebiasResult:
     embeddings: EmbeddingSet
     method: str  # "hsr" | "hard"
     gender_norm: float  # Frobenius norm of the subtracted gender component
-    config: dict = field(default_factory=dict)
+    config: dict
 
 
 def _principal_directions(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -74,9 +74,11 @@ class EmbeddingSet:
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self, index: dict[str, int] | None = None):
+        # Every construction path checks here that the set saves to text that
+        # loads back: at least one component, and no space or line break in a word.
         vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2:
-            raise InputError("vectors must be a 2-D array of shape (|V|, dim)")
+        if vectors.ndim != 2 or not vectors.shape[1]:
+            raise InputError(f"vectors must have shape (|V|, dim >= 1), got {vectors.shape}")
         if not np.all(np.isfinite(vectors)):
             raise InputError("vectors contain non-finite entries")
         words = tuple(self.words)
@@ -84,6 +86,10 @@ class EmbeddingSet:
             raise InputError(
                 f"{len(words)} words but {vectors.shape[0]} vector rows"
             )
+        text = "".join(words)
+        if " " in text or "\n" in text or "\r" in text:
+            word = next(w for w in words if " " in w or "\n" in w or "\r" in w)
+            raise InputError(f"token {word!r} holds a space or a line break")
         if index is None:
             index = {}
             for i, w in enumerate(words):
@@ -103,8 +109,8 @@ class EmbeddingSet:
         holds, and `index`, the word -> row map of `words` that the caller has
         already checked for duplicates.
 
-        Shape and finiteness are checked as by the constructor; the duplicate
-        check and the defensive copy are skipped.
+        Shape, finiteness and words are checked as by the constructor; the
+        duplicate check and the defensive copy are skipped.
         """
         self = cls.__new__(cls)
         object.__setattr__(self, "words", words)
@@ -367,8 +373,6 @@ def _text_rows(words: Sequence[str], vectors: np.ndarray) -> list[str]:
     "%.17g" % v: the kernel's fields, and Python's formatting for values
     printed in scientific notation."""
     dim = vectors.shape[1]
-    if not dim:
-        return [word + "\n" for word in words]
     values = vectors.reshape(-1)
     fields, filled = _fields(values)
     others = np.flatnonzero(~filled)
@@ -384,7 +388,7 @@ def _text_rows(words: Sequence[str], vectors: np.ndarray) -> list[str]:
 def _write_rows(dim: int) -> int:
     """Rows per block in save_embeddings: about _WRITE_VALUES values, and at
     least the two rows that the header rule reads."""
-    return max(2, _WRITE_VALUES // max(dim, 1))
+    return max(2, _WRITE_VALUES // dim)
 
 
 def _write_range(embeddings: EmbeddingSet, start: int, stop: int, sink: IO[str]) -> None:
@@ -479,9 +483,9 @@ def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes]) ->
     """Write the set as an uncompressed .npz archive that _load_binary reads.
 
     The archive holds the sha256 of the text file the set was saved as, the
-    words as UTF-8 joined by newlines in a uint8 array (a token holds no
-    newline; a fixed-width string array would drop trailing NULs) and the
-    float64 matrix.
+    words as UTF-8 joined by newlines in a uint8 array (EmbeddingSet admits
+    no newline in a word; a fixed-width string array would drop trailing
+    NULs) and the float64 matrix.
     """
     words = "\n".join(embeddings.words).encode("utf-8")
     np.savez(sink, sha256=np.array(text_sha256),

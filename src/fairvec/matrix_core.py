@@ -38,10 +38,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 @dataclass(frozen=True, eq=False)
 class RidgeSolution:
-    """Weight matrix and regularization constant of one ridge solve."""
+    """Weight matrix of one ridge solve."""
 
     weights: np.ndarray  # (m, n)
-    alpha: float
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -84,7 +83,7 @@ def solve_ridge(a, b, alpha: float) -> RidgeSolution:
         ) from exc
     regularized_pinv = np.linalg.solve(lower.T, np.linalg.solve(lower, a.T))
     weights = regularized_pinv @ b
-    return RidgeSolution(weights=weights, alpha=alpha)
+    return RidgeSolution(weights=weights)
 
 
 _row_sums = functools.partial(np.sum, axis=-1)
@@ -153,8 +152,6 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of x in a canonical (byte-sorted) order, and where each row went."""
     x = np.ascontiguousarray(x)
-    if x.shape[1] == 0:  # every row is the empty vector; a zero-width key cannot be viewed
-        return x[:1], np.zeros(len(x), dtype=np.intp)
     keys = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return x[first], inverse.ravel()
@@ -278,11 +275,10 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centers
 
 
-def _lloyd(points: np.ndarray,
-           centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
     """Lloyd iterations from given centers.
 
-    Returns (assignments, centers, sse, sse_history); history records the
+    Returns (assignments, sse, sse_history); history records the
     within-cluster sum of squares after each center update and is
     non-increasing.
     """
@@ -309,7 +305,7 @@ def _lloyd(points: np.ndarray,
         history.append(sse)
         if movement <= _LLOYD_TOL:
             break
-    return assignments, centers, history[-1], history
+    return assignments, history[-1], history
 
 
 def kmeans(points, k: int, seed: int) -> np.ndarray:
@@ -328,7 +324,7 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     best_sse = np.inf
     for _ in range(_KMEANS_RESTARTS):
         centers = _kmeanspp_init(points, k, rng)
-        assignments, _, sse, _ = _lloyd(points, centers)
+        assignments, sse, _ = _lloyd(points, centers)
         if sse < best_sse:
             best_sse = sse
             best_assignments = assignments

@@ -39,7 +39,6 @@ class WordPairDataset:
 class SentencePairDataset:
     name: str
     entries: tuple[tuple[tuple[str, ...], tuple[str, ...], float], ...]
-    lowercased: bool = True  # loader normalization, recorded for provenance
 
     def __post_init__(self):
         if not self.entries:
@@ -203,12 +202,9 @@ def _sentences(lineno: int, first: str, second: str) -> tuple:
 
 
 def load_sentence_pairs(source: LineSource, name: str) -> SentencePairDataset:
-    """Parse "sentence1 TAB sentence2 TAB score" lines.
-
-    Sentences are lowercased and whitespace-tokenized here; the dataset
-    records that normalization.
-    """
+    """Parse "sentence1 TAB sentence2 TAB score" lines; sentences are
+    lowercased and whitespace-tokenized."""
     entries = _scored_pairs(source, _sentences)
     if not entries:
         raise ParseError(f"sentence-pair file for {name!r} has no data lines")
-    return SentencePairDataset(name=name, entries=entries, lowercased=True)
+    return SentencePairDataset(name=name, entries=entries)

@@ -173,6 +173,12 @@ class TestSelectBiasedWords:
         with pytest.raises(InputError):
             select_biased_words(planted.embeddings, part, 10_000)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one(self, planted, n):
+        part = partition(planted.embeddings, list(planted.gender_list))
+        with pytest.raises(InputError, match="n_per_gender must be >= 1"):
+            select_biased_words(planted.embeddings, part, n)
+
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(40)
         words = ["he", "she"] + [f"w{i}" for i in range(20)]
@@ -627,6 +633,12 @@ class TestLoaders:
     def test_sembias_bad_field_count(self):
         with pytest.raises(ParseError, match="line 1"):
             load_sembias(io.StringIO("a b definition\tc d biased\n"))
+
+    @pytest.mark.parametrize("field", ["c biased", "c d e biased", "   "])
+    def test_sembias_field_not_two_words_and_a_tag(self, field):
+        text = f"a b definition\t{field}\te f other\tg h other\n"
+        with pytest.raises(ParseError, match=f"line 1: field {field!r} is not 'wordA wordB tag'"):
+            load_sembias(io.StringIO(text))
 
     def test_sembias_bad_tag(self):
         text = "a b definition\tc d biased\te f other\tg h wrong\n"

@@ -186,6 +186,26 @@ class TestDebiasCommand:
             ])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--alpha", "abc"], "'abc' is not a number"),
+        (["--alpha", "nan"], "alpha must be >= 0"),
+        (["--vocab-cap", "0"], "value must be >= 1"),
+    ])
+    def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
+                                                    extra, named):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
+        monkeypatch.setattr(fairvec.cli, "load_word_list", no_reading)
+        out = workdir["dir"] / "x.txt"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                  "--out", str(out), *extra])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_nonzero(self, workdir, capsys):
         code = main([
             "debias", "--embeddings", str(workdir["dir"] / "nosuch.txt"),
@@ -418,6 +438,24 @@ class TestBinaryCopy:
                  words=np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8))
         assert self.eval_outputs(workdir, hsr, "quality") == expected
         assert text_parses == ["emb.txt", "hsr.txt"]
+
+    @pytest.mark.parametrize("damage", [
+        lambda vectors: vectors[:-1],
+        lambda vectors: np.vstack([vectors, vectors[:1]]),
+        lambda vectors: np.where(np.arange(vectors.size).reshape(vectors.shape) == 7,
+                                 np.nan, vectors),
+    ], ids=["fewer-rows", "more-rows", "nan"])
+    def test_binary_copy_with_bad_matrix_ignored(self, workdir, text_parses, damage):
+        hsr = self.debias(workdir, "hsr.txt")
+        expected = self.eval_outputs(workdir, hsr, "quality")
+        with np.load(hsr + ".npz") as archive:
+            sha256, words, vectors = archive["sha256"], archive["words"], archive["vectors"]
+        np.savez(hsr + ".npz", sha256=sha256, words=words, vectors=damage(vectors))
+        assert _load_binary(hsr + ".npz", str(sha256)) is None
+        loaded, _ = fairvec.cli._load_embedding_file(hsr, None)
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert self.eval_outputs(workdir, hsr, "quality") == expected
+        assert text_parses == ["emb.txt", "hsr.txt", "hsr.txt"]
 
     def test_binary_copy_load_does_not_copy_the_matrix(self, tmp_path):
         import tracemalloc
@@ -795,6 +833,27 @@ class TestEvalCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--vocab-cap", "0"], "value must be >= 1"),
+        (["--vocab-cap", "ten"], "'ten' is not an integer"),
+        (["--wordsim", "nameonly"], "expected NAME=PATH, got 'nameonly'"),
+        (["--sts", "=a.tsv"], "expected NAME=PATH, got '=a.tsv'"),
+    ])
+    def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
+                                                    extra, named):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
+        monkeypatch.setattr(fairvec.cli, "_sha256", no_reading)
+        out = workdir["dir"] / "usage.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--embeddings", workdir["emb"], "--metrics", "quality",
+                  "--out", str(out), *extra])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_distinct_dataset_names_accepted(self, workdir):
         out = str(workdir["dir"] / "names.json")
         wordsim, sts = workdir["wordsim"], workdir["sts"]
@@ -900,6 +959,19 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "weat_pvalues.names.p_value\t0.03\t0.03" in out
         assert "word_similarity.simlex.spearman\t0.4\t0.4" in out
+
+    def test_repeated_labels_get_plus_suffixes(self, tmp_path, capsys):
+        # A label is taken from "method", else the file stem; a repeat gets "+"
+        # until it is new, so every report keeps a column of its own.
+        paths = [tmp_path / name for name in ("a.json", "b.json", "c.json", "hsr.json")]
+        for path, method, value in zip(paths, ["hsr", "hsr", "hsr+"], [0.1, 0.2, 0.3]):
+            self.make_report(path, method, {"projection_bias": value})
+        paths[3].write_text(json.dumps({"metrics": {"projection_bias": 0.4}}))
+        assert main(["compare", *map(str, paths)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "metric\thsr\thsr+\thsr++\thsr+++",
+            "projection_bias\t0.1\t0.2\t0.3\t0.4",
+        ]
 
     def test_fewer_than_two_reports(self, tmp_path):
         path = tmp_path / "a.json"

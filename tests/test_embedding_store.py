@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -373,6 +374,47 @@ def saved_sets(draw):
     return EmbeddingSet(tuple(f"w{i}" for i in range(n_rows)), values.reshape(n_rows, dim))
 
 
+# Words of letters, digits, "#", and characters that str.split or
+# str.splitlines would cut at but line iteration does not; "" included.
+ADMITTED_WORDS = st.text(st.sampled_from("\t#09aé߀Жß中\x00\x0b\x0c\x1c\x85\u2028\ufeff"),
+                         max_size=4)
+ROUND_TRIP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5,
+                     1e16, -1e16, 9999999999999998.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def admitted_sets(draw):
+    words = draw(st.lists(ADMITTED_WORDS, min_size=1, max_size=8, unique=True))
+    dim = draw(st.integers(1, 3))
+    size = len(words) * dim
+    values = draw(st.lists(ROUND_TRIP_VALUES, min_size=size, max_size=size))
+    return EmbeddingSet(tuple(words), np.array(values).reshape(len(words), dim))
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round-trip")
+
+
+class TestEverySetRoundTrips:
+    @settings(max_examples=200, deadline=None)
+    @given(embeddings=admitted_sets())
+    def test_same_words_and_bits(self, round_trip_dir, embeddings):
+        sink = io.StringIO()
+        save_embeddings(embeddings, sink)
+        text = round_trip_dir / "set.txt"
+        text.write_bytes(sink.getvalue().encode("utf-8"))
+        binary = round_trip_dir / "set.npz"
+        with open(binary, "wb") as handle:
+            embedding_store._save_binary(embeddings, "digest", handle)
+        for loaded in (load_text(sink.getvalue()), load_embeddings(text),
+                       embedding_store._load_binary(str(binary), "digest")):
+            assert loaded.words == embeddings.words
+            assert loaded.vectors.tobytes() == embeddings.vectors.tobytes()
+
+
 class TestSaveMatchesPerValueFormat:
     @settings(max_examples=100, deadline=None)
     @given(saved_sets())
@@ -476,6 +518,30 @@ class TestSaveFanOut:
 
 
 class TestEmbeddingSet:
+    @pytest.mark.parametrize("word", ["a b", " ", "a\nb", "end\n", "a\rb", "\r\n"])
+    def test_word_with_space_or_line_break_rejected(self, word):
+        with pytest.raises(InputError, match=re.escape(repr(word))):
+            EmbeddingSet(words=("ok", word), vectors=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("lines, word", [
+        (lambda: ["ok 1.0\n", "a\nb 2.0\n"], "a\nb"),  # a block numpy parses
+        (lambda: ["a\rb 1_0\n"], "a\rb"),  # a block read line by line
+        (lambda: io.StringIO("ok 1\nx\ry 2\n"), "x\ry"),  # StringIO splits at "\n" only
+    ])
+    def test_loaded_word_with_line_break_rejected(self, lines, word):
+        # Only an iterable of lines can hand the loader a word with a line
+        # break; the set it would make is refused as any other such set is.
+        with pytest.raises(InputError, match=re.escape(repr(word))):
+            load_embeddings(lines())
+
+    def test_zero_dimensional_vectors_rejected(self):
+        for words in (("a", "b", "c"), ()):
+            shape = (len(words), 0)
+            with pytest.raises(InputError, match=re.escape(str(shape))):
+                EmbeddingSet(words=words, vectors=np.zeros(shape))
+            with pytest.raises(InputError, match=re.escape(str(shape))):
+                EmbeddingSet._owning(words, np.zeros(shape), {w: i for i, w in enumerate(words)})
+
     def test_duplicate_words_rejected(self):
         with pytest.raises(InputError, match="duplicate"):
             EmbeddingSet(words=("a", "a"), vectors=np.ones((2, 2)))
@@ -505,7 +571,7 @@ class TestEmbeddingSet:
             lambda: EmbeddingSet(("x", "y"), np.eye(2)),
             lambda: partition(EmbeddingSet(("x", "y"), np.eye(2)), ["x"]),
             lambda: fairvec.LinearClassifier(np.ones(2), 0.5),
-            lambda: fairvec.RidgeSolution(np.eye(2), 1.0),
+            lambda: fairvec.RidgeSolution(np.eye(2)),
         ]
         for make in records:
             first, second = make(), make()
@@ -692,9 +758,15 @@ class TestTopKNeighbors:
         with pytest.raises(InputError, match="only 1 candidates"):
             top_k_neighbors(tiny, [tiny.index("he"), tiny.index("north")], 2, pool)
 
-    def test_zero_dimensional_vectors_rank_by_index(self):
-        embeddings = EmbeddingSet(words=("a", "b", "c"), vectors=np.zeros((3, 0)))
-        assert top_k_neighbors(embeddings, [1, 2], 2).tolist() == [[0, 2], [0, 1]]
-
     def test_no_queries(self, tiny):
         assert top_k_neighbors(tiny, [], 2).shape == (0, 2)
+
+    @pytest.mark.parametrize("pool", [[0, 6], [-1, 2]])
+    def test_candidate_outside_vocab(self, tiny, pool):
+        with pytest.raises(InputError, match="candidate index outside vocabulary"):
+            top_k_neighbors(tiny, [1], 1, pool)
+
+    def test_k_zero_is_empty(self, tiny):
+        ranked = top_k_neighbors(tiny, [0, 3, 5], 0)
+        assert ranked.shape == (3, 0)
+        assert ranked.dtype == np.int64

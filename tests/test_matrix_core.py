@@ -266,7 +266,7 @@ class TestKmeans:
         rng = np.random.default_rng(13)
         points = rng.normal(size=(50, 3))
         centers = points[rng.choice(50, size=4, replace=False)].copy()
-        _, _, _, history = _lloyd(points, centers)
+        _, _, history = _lloyd(points, centers)
         assert all(s1 >= s2 - 1e-9 for s1, s2 in zip(history, history[1:]))
 
     def test_k_larger_than_n(self):
@@ -291,6 +291,10 @@ class TestPurity:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             purity([0, 1], [0, 1, 1])
+
+    def test_no_points(self):
+        with pytest.raises(InputError, match="at least one point"):
+            purity([], [])
 
     @given(
         st.lists(st.integers(0, 3), min_size=1, max_size=12),
@@ -347,6 +351,10 @@ class TestLinearClassifier:
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
             train_linear_classifier(np.ones((4, 2)), np.array([1, 1, 1, 1]), seed=0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(InputError, match="lengths differ: 4 vs 3"):
+            train_linear_classifier(np.ones((4, 2)), np.array([0, 1, 1]), seed=0)
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(InputError):

@@ -372,7 +372,6 @@ class TestLoaders:
     def test_sentence_pairs_lowercased_and_tokenized(self):
         text = "The Big Cat\ta big dog\t3.5\n"
         data = load_sentence_pairs(io.StringIO(text), "sts")
-        assert data.lowercased is True
         assert data.entries[0][0] == ("the", "big", "cat")
         assert data.entries[0][1] == ("a", "big", "dog")
 
@@ -383,6 +382,16 @@ class TestLoaders:
     def test_sentence_pairs_bad_score(self):
         with pytest.raises(ParseError, match="line 1"):
             load_sentence_pairs(io.StringIO("a b\tc d\tmaybe\n"), "sts")
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e400"])
+    def test_sentence_pairs_non_finite_score(self, score):
+        text = f"a b\tc d\t1.0\ne f\tg h\t{score}\n"
+        with pytest.raises(ParseError, match=f"line 2: score '{score}' is not finite"):
+            load_sentence_pairs(io.StringIO(text), "sts")
+
+    def test_sentence_pairs_empty(self):
+        with pytest.raises(ParseError, match="sentence-pair file for 'sts' has no data lines"):
+            load_sentence_pairs(io.StringIO("# only comments\n\n"), "sts")
 
     @pytest.mark.parametrize("as_path", [str, Path])
     def test_path_sources(self, tmp_path, as_path):

@@ -1,4 +1,5 @@
-"""The benchmark's span tracer must find every function it wraps.
+"""The benchmark's span tracer must find every function it wraps, and the
+package keeps no private helper that nothing uses.
 
 perfbench/spans.py patches the functions it lists in TRACED by name; a
 refactor that drops or renames one would crash every traced benchmark run.
@@ -7,11 +8,46 @@ The module is loaded read-only from its file, without running the tracer.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE = SPANS.parent.parent / "src" / "fairvec"
+
+
+def test_no_unreferenced_private_module_names():
+    # A module-level private function, class or constant of the package that
+    # no other statement in the package reads is dead code. A mention in a
+    # comment or docstring, or a use by tests or the benchmark, does not count.
+    defined, read_by = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name, statement) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            read = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name)
+            read_by.append((statement, read))
+    dead = [f"{module}: {name}" for module, name, home in defined
+            if not any(name in read for statement, read in read_by if statement is not home)]
+    assert defined
+    assert dead == []
 
 
 def load_spans():

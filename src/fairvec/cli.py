@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import bias_metrics, quality_eval
@@ -55,13 +54,6 @@ def _file_record(path: str) -> dict:
     return {"path": path, "sha256": _sha256(path)}
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it; restore it at once.
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
-
-
 class _DigestFile(io.FileIO):
     """A file opened for writing that feeds every byte written to a digest."""
 
@@ -79,24 +71,20 @@ class _DigestFile(io.FileIO):
 def _atomic_output(path: str, binary: bool = False, digest=None):
     """Text (or binary) handle on a temp file that replaces `path` when the block exits.
 
-    The file gets the mode a plain open() would give it (0666 less the
-    umask), not mkstemp's 0600. On error the temp file is removed and `path`
-    is left as it was. A text file given a hashlib `digest` feeds it every
-    byte it writes, so the caller need not read the file back to hash it.
+    The temp file is made as open() makes one (0666 through the umask or the
+    directory's default ACL), never over another file, and removed on error,
+    leaving `path` as it was. A given hashlib `digest` is fed every byte
+    written, so the caller need not read the file back to hash it.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        if binary:
-            handle = os.fdopen(fd, "wb")
-        elif digest is None:
-            handle = os.fdopen(fd, "w", encoding="utf-8")
-        else:
-            handle = io.TextIOWrapper(io.BufferedWriter(_DigestFile(fd, digest)),
-                                      encoding="utf-8")
+        handle = io.BufferedWriter(io.FileIO(fd, "wb") if digest is None
+                                   else _DigestFile(fd, digest))
+        if not binary:
+            handle = io.TextIOWrapper(handle, encoding="utf-8")
         with handle:
             yield handle
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -222,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_debias(args: argparse.Namespace) -> int:
     embeddings, embeddings_record = _load_embedding_file(args.embeddings, args.vocab_cap)
     config = HsrConfig(gender_list=tuple(load_word_list(args.gender_list)), alpha=args.alpha)
-    if args.method == "hsr":
-        result = hsr_debias(embeddings, config)
-    else:
-        result = hard_debias(embeddings, config)
+    result = (hsr_debias if args.method == "hsr" else hard_debias)(embeddings, config)
 
     digest = hashlib.sha256()
     with _atomic_output(args.out, digest=digest) as handle:
@@ -303,14 +288,15 @@ def _eval_direction(args, embeddings, original, part, report: dict) -> None:
 
 def _eval_relation(args, embeddings, original, part, report: dict) -> None:
     # The pool is selected once; each metric that needs it fails with its error.
-    selection: dict = {"metrics": {}, "errors": {}}
-    _run(selection, "lists",
-         lambda: bias_metrics.select_biased_words(original, part, args.top_biased))
+    try:
+        selected = bias_metrics.select_biased_words(original, part, args.top_biased)
+    except FairvecError as exc:
+        selected = FairvecError(f"biased-word selection failed: {exc}")
 
     def lists():
-        if selection["errors"]:
-            raise FairvecError(f"biased-word selection failed: {selection['errors']['lists']}")
-        return selection["metrics"]["lists"]
+        if isinstance(selected, FairvecError):
+            raise selected
+        return selected
 
     _run(report, "gbwr_purity",
          lambda: bias_metrics.gbwr_clustering(embeddings, lists(), args.seed))

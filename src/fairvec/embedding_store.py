@@ -75,21 +75,25 @@ class EmbeddingSet:
 
     def __post_init__(self, index: dict[str, int] | None = None):
         # Every construction path checks here that the set saves to text that
-        # loads back: at least one component, and no space or line break in a word.
+        # loads back: at least one row and one component, and UTF-8 words with
+        # no space or line break.
         vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or not vectors.shape[1]:
-            raise InputError(f"vectors must have shape (|V|, dim >= 1), got {vectors.shape}")
+        if vectors.ndim != 2 or not vectors.size:
+            raise InputError(f"vectors of shape {vectors.shape}; need |V| >= 1 and dim >= 1")
         if not np.all(np.isfinite(vectors)):
             raise InputError("vectors contain non-finite entries")
         words = tuple(self.words)
         if len(words) != vectors.shape[0]:
-            raise InputError(
-                f"{len(words)} words but {vectors.shape[0]} vector rows"
-            )
+            raise InputError(f"{len(words)} words but {vectors.shape[0]} vector rows")
         text = "".join(words)
         if " " in text or "\n" in text or "\r" in text:
             word = next(w for w in words if " " in w or "\n" in w or "\r" in w)
             raise InputError(f"token {word!r} holds a space or a line break")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            word = next(w for w in words if exc.object[exc.start] in w)
+            raise InputError(f"token {word!r} does not encode as UTF-8") from None
         if index is None:
             index = {}
             for i, w in enumerate(words):
@@ -162,10 +166,9 @@ def _is_header(first: str, second: str) -> bool:
     )
 
 
-def _parse_block(block: list[tuple[int, str]], dim: int,
-                 index: dict[str, int]) -> np.ndarray | None:
-    """The rows of a block of (line number, line) pairs, parsed by numpy's C
-    tokenizer, with their tokens added to `index`.
+def _parse_block(block: list[str], dim: int, index: dict[str, int]) -> np.ndarray | None:
+    """The rows of a block of lines, parsed by numpy's C tokenizer, with
+    their tokens added to `index`.
 
     None, and `index` unchanged, when a line breaks a rule or holds a form
     that the C parser reads differently from Python's float: it also strips
@@ -173,7 +176,7 @@ def _parse_block(block: list[tuple[int, str]], dim: int,
     row has as many fields as the first.
     """
     tokens, rests = [], []
-    for _, line in block:
+    for line in block:
         token, _, rest = line.rstrip().partition(" ")
         if "\x1c" in rest or "\x1d" in rest or "\x1e" in rest or "\x1f" in rest:
             return None
@@ -192,12 +195,12 @@ def _parse_block(block: list[tuple[int, str]], dim: int,
     return rows
 
 
-def _parse_lines(block: list[tuple[int, str]], dim: int,
-                 index: dict[str, int]) -> np.ndarray:
-    """The rows of a block by the per-line rules, with their tokens added to
-    `index`; ParseError names the first line that breaks one."""
+def _parse_lines(block: list[str], first: int, dim: int, index: dict[str, int]) -> np.ndarray:
+    """The rows of a block whose first line is line `first`, by the per-line
+    rules, with their tokens added to `index`; ParseError names the first
+    line that breaks one."""
     rows = np.empty((len(block), dim))
-    for i, (lineno, line) in enumerate(block):
+    for row, lineno, line in zip(rows, itertools.count(first), block):
         values = line.rstrip().split(" ")
         token = values.pop(0)
         if len(values) != dim:
@@ -208,10 +211,10 @@ def _parse_lines(block: list[tuple[int, str]], dim: int,
             raise ParseError(f"line {lineno}: duplicate token {token!r}")
         index[token] = len(index)
         try:
-            rows[i] = np.asarray(values, dtype=np.float64)
+            row[:] = np.asarray(values, dtype=np.float64)
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric vector component") from None
-        if not np.all(np.isfinite(rows[i])):
+        if not np.all(np.isfinite(row)):
             raise ParseError(f"line {lineno}: non-finite vector component")
     return rows
 
@@ -225,31 +228,28 @@ def load_embeddings(source: LineSource, max_words: int | None = None) -> Embeddi
     block that numpy's C parser cannot take is read line by line, so a
     ParseError names the first bad line and Python's float forms (1_0) load.
     """
-    lines = enumerate(_lines(source), start=1)
+    lines = _lines(source)
     head = list(itertools.islice(lines, 2))
-    if len(head) == 2 and _is_header(head[0][1], head[1][1]):
-        del head[0]
-    lines = itertools.chain(head, lines)
+    first = 2 if len(head) == 2 and _is_header(*head) else 1  # the next block's first line
+    lines = itertools.chain(head[first - 1:], lines)
+    if max_words is not None:
+        lines = itertools.islice(lines, max(max_words, 0))
     index: dict[str, int] = {}
     vectors = None
-    while True:
-        size = _BLOCK_ROWS if max_words is None else min(_BLOCK_ROWS, max_words - len(index))
-        block = list(itertools.islice(lines, max(size, 0)))
-        if not block:
-            break
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
         if vectors is None:
-            lineno, line = block[0]
-            dim = line.rstrip().count(" ")
+            dim = block[0].rstrip().count(" ")
             if dim == 0:
-                raise ParseError(f"line {lineno}: no vector components found")
+                raise ParseError(f"line {first}: no vector components found")
             vectors = np.empty((0, dim))
         rows = _parse_block(block, dim, index)
         if rows is None:
-            rows = _parse_lines(block, dim, index)
+            rows = _parse_lines(block, first, dim, index)
         start = len(vectors)
         # No view of the buffer is alive here, so it may move.
         vectors.resize((start + len(rows), dim), refcheck=False)
         vectors[start:] = rows
+        first += len(block)
     if vectors is None:
         raise ParseError("empty embedding input")
     return EmbeddingSet._owning(tuple(index), vectors, index)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -248,6 +249,54 @@ class TestDebiasCommand:
         for path in (out, Path(str(out) + ".meta.json"), Path(str(out) + ".npz")):
             assert stat.S_IMODE(path.stat().st_mode) == mode
         assert not [p.name for p in workdir["dir"].iterdir() if p.name.startswith(".tmp-")]
+
+    def test_outputs_written_without_touching_the_umask(self, workdir, monkeypatch):
+        # The umask is process-wide state; writing an output never sets it.
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        out = workdir["dir"]
+        assert main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                     "--out", str(out / "hsr.txt")]) == 0
+        reports = []
+        for name in ("a", "b"):
+            reports.append(str(out / f"{name}.json"))
+            assert main(["eval", "--embeddings", str(out / "hsr.txt"),
+                         "--original-embeddings", workdir["emb"],
+                         "--gender-list", workdir["gender"], "--metrics", "relation",
+                         "--professions", workdir["professions"], "--top-biased", "10",
+                         "--neighbors", "5", "--classify-n", "20", "--classify-train", "5",
+                         "--label", name, "--out", reports[-1]]) == 0
+        assert main(["compare", *reports, "--out", str(out / "table.tsv")]) == 0
+        assert (out / "a.professions.tsv").exists() and (out / "table.tsv").exists()
+
+    def test_output_mode_follows_default_acl(self, workdir, tmp_path):
+        # A default ACL of rw-rw-r-- overrides the umask for every file made in
+        # the directory; the outputs get the mode open() gives a file there.
+        directory = tmp_path / "shared"
+        directory.mkdir()
+        entries = ((0x01, 6), (0x04, 6), (0x10, 6), (0x20, 4))  # user::, group::, mask::, other::
+        acl = struct.pack("<I", 2) + b"".join(struct.pack("<HHI", tag, perm, 0xFFFFFFFF)
+                                              for tag, perm in entries)
+        try:
+            os.setxattr(directory, "system.posix_acl_default", acl)
+        except (AttributeError, OSError) as exc:
+            pytest.skip(f"no default ACL on this filesystem: {exc}")
+        out = directory / "shared.txt"
+        previous = os.umask(0o077)
+        try:
+            with open(directory / "plain", "w"):
+                pass
+            code = main(["debias", "--embeddings", workdir["emb"],
+                         "--gender-list", workdir["gender"], "--out", str(out)])
+        finally:
+            os.umask(previous)
+        assert code == 0
+        mode = stat.S_IMODE((directory / "plain").stat().st_mode)
+        assert mode == 0o664  # not 0o600: the umask does not apply
+        for path in (out, Path(f"{out}.npz"), Path(f"{out}.meta.json")):
+            assert stat.S_IMODE(path.stat().st_mode) == mode
 
     def test_forked_write_matches_one_process(self, workdir, monkeypatch, forks):
         # 64 rows in blocks of 5: this process and three children write a range each.

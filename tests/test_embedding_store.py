@@ -232,11 +232,12 @@ class TestSave:
         # 1e-6 round-trip contract
         assert np.array_equal(reloaded.vectors, original.vectors)
 
-    def test_empty_set_writes_nothing(self):
-        empty = EmbeddingSet(words=(), vectors=np.zeros((0, 3)))
-        sink = io.StringIO()
-        save_embeddings(empty, sink)
-        assert sink.getvalue() == ""
+    def test_empty_set_refused(self):
+        # A set with no rows would save to empty text, which does not load back.
+        with pytest.raises(InputError, match=re.escape("(0, 3)")):
+            EmbeddingSet(words=(), vectors=np.zeros((0, 3)))
+        with pytest.raises(InputError, match=re.escape("(0, 3)")):
+            EmbeddingSet._owning((), np.zeros((0, 3)), {})
 
     def test_byte_stable(self):
         rng = np.random.default_rng(7)
@@ -355,12 +356,12 @@ def curated_values() -> np.ndarray:
 
 @st.composite
 def saved_sets(draw):
-    """A set of 0, 1, 2 or about a write block of rows, the block's edges
+    """A set of 1, 2 or about a write block of rows, the block's edges
     included, whose values mix any finite float64 bit pattern, scaled normals
     in the fixed-notation range, floats that hypothesis picks and curated ones."""
     dim = draw(st.sampled_from([1, 2, 3, 300]))
     block = embedding_store._write_rows(dim)
-    n_rows = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1]))
+    n_rows = draw(st.sampled_from([1, 2, block - 1, block, block + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = n_rows * dim
     bits = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
@@ -374,10 +375,12 @@ def saved_sets(draw):
     return EmbeddingSet(tuple(f"w{i}" for i in range(n_rows)), values.reshape(n_rows, dim))
 
 
-# Words of letters, digits, "#", and characters that str.split or
-# str.splitlines would cut at but line iteration does not; "" included.
-ADMITTED_WORDS = st.text(st.sampled_from("\t#09aé߀Жß中\x00\x0b\x0c\x1c\x85\u2028\ufeff"),
-                         max_size=4)
+# Words of letters, digits, "#", characters that str.split or str.splitlines
+# would cut at but line iteration does not, and any other character but a
+# space or a line break, lone surrogates included; "" included.
+DRAWN_WORDS = st.text(st.one_of(
+    st.sampled_from("\t#09aé߀Жß中\x00\x0b\x0c\x1c\x85\u2028\ufeff\ud800\udfff"),
+    st.characters(exclude_characters=" \n\r", exclude_categories=())), max_size=4)
 ROUND_TRIP_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5,
                      1e16, -1e16, 9999999999999998.0, 1.0]),
@@ -385,12 +388,13 @@ ROUND_TRIP_VALUES = st.one_of(
 
 
 @st.composite
-def admitted_sets(draw):
-    words = draw(st.lists(ADMITTED_WORDS, min_size=1, max_size=8, unique=True))
+def drawn_sets(draw):
+    """Words and vectors for an EmbeddingSet, no words at all included."""
+    words = draw(st.lists(DRAWN_WORDS, max_size=8, unique=True))
     dim = draw(st.integers(1, 3))
     size = len(words) * dim
     values = draw(st.lists(ROUND_TRIP_VALUES, min_size=size, max_size=size))
-    return EmbeddingSet(tuple(words), np.array(values).reshape(len(words), dim))
+    return tuple(words), np.array(values).reshape(len(words), dim)
 
 
 @pytest.fixture(scope="module")
@@ -400,8 +404,17 @@ def round_trip_dir(tmp_path_factory):
 
 class TestEverySetRoundTrips:
     @settings(max_examples=200, deadline=None)
-    @given(embeddings=admitted_sets())
-    def test_same_words_and_bits(self, round_trip_dir, embeddings):
+    @given(case=drawn_sets())
+    def test_same_words_and_bits(self, round_trip_dir, case):
+        # A set is refused exactly when it has no rows or a word that is not
+        # UTF-8; every other one round-trips through text and .npz.
+        words, vectors = case
+        unencodable = any(0xD800 <= ord(c) <= 0xDFFF for c in "".join(words))
+        if not words or unencodable:
+            with pytest.raises(InputError):
+                EmbeddingSet(words, vectors)
+            return
+        embeddings = EmbeddingSet(words, vectors)
         sink = io.StringIO()
         save_embeddings(embeddings, sink)
         text = round_trip_dir / "set.txt"
@@ -442,12 +455,12 @@ def saved_text(embeddings: EmbeddingSet) -> str:
 
 class TestSaveFanOut:
     @pytest.mark.parametrize("dim", [1, 3, 300])
-    @pytest.mark.parametrize("rows", ["0", "1", "2", "block - 1", "block + 1", "many"])
+    @pytest.mark.parametrize("rows", ["1", "2", "block - 1", "block + 1", "many"])
     def test_same_text_as_one_process(self, forks, monkeypatch, dim, rows):
         # The first row reads as a header at dim 1; values outside [1e-4, 1e16)
         # take the "%" fallback; non-ASCII words span several bytes.
         block = embedding_store._write_rows(dim)
-        n_rows = {"0": 0, "1": 1, "2": 2, "block - 1": block - 1, "block + 1": block + 1,
+        n_rows = {"1": 1, "2": 2, "block - 1": block - 1, "block + 1": block + 1,
                   "many": 9 * block + 1}[rows]
         values = np.resize(curated_values(), (n_rows, dim))
         values[:1] = 1.0
@@ -520,6 +533,12 @@ class TestSaveFanOut:
 class TestEmbeddingSet:
     @pytest.mark.parametrize("word", ["a b", " ", "a\nb", "end\n", "a\rb", "\r\n"])
     def test_word_with_space_or_line_break_rejected(self, word):
+        with pytest.raises(InputError, match=re.escape(repr(word))):
+            EmbeddingSet(words=("ok", word), vectors=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("word", ["\ud800", "a\udfffb"])
+    def test_word_not_utf8_rejected(self, word):
+        # A lone surrogate has no UTF-8 form, so the set could not be saved.
         with pytest.raises(InputError, match=re.escape(repr(word))):
             EmbeddingSet(words=("ok", word), vectors=np.ones((2, 2)))
 

@@ -1,5 +1,6 @@
-"""The benchmark's span tracer must find every function it wraps, and the
-package keeps no private helper that nothing uses.
+"""The benchmark's span tracer must find every function it wraps, the
+package keeps no private helper that nothing uses, and the test
+configuration reports every result.
 
 perfbench/spans.py patches the functions it lists in TRACED by name; a
 refactor that drops or renames one would crash every traced benchmark run.
@@ -11,10 +12,13 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PACKAGE = SPANS.parent.parent / "src" / "fairvec"
+PYPROJECT = SPANS.parent.parent / "pyproject.toml"
 
 
 def test_no_unreferenced_private_module_names():
@@ -48,6 +52,27 @@ def test_no_unreferenced_private_module_names():
             if not any(name in read for statement, read in read_by if statement is not home)]
     assert defined
     assert dead == []
+
+
+def test_a_failing_property_test_hides_no_other_result(tmp_path):
+    # On a failure, hypothesis's pytest plugin imports libcst to suggest a
+    # patch, and libcst raises a DeprecationWarning on import. Under the
+    # repo's filterwarnings that must not end the run with INTERNALERROR.
+    (tmp_path / "test_one_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_one_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "1 failed, 1 passed" in done.stdout, output
+    assert "INTERNALERROR" not in output
 
 
 def load_spans():
@@ -155,8 +180,8 @@ def test_benchmark_and_saved_text_take_the_block_parser(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclass looks itself up
     spec.loader.exec_module(gen)
 
-    def refuse(block, *args):
-        raise AssertionError(f"line {block[0][0]}: block re-read line by line")
+    def refuse(block, first, *args):
+        raise AssertionError(f"line {first}: block re-read line by line")
 
     monkeypatch.setattr(embedding_store, "_parse_lines", refuse)
     block = embedding_store._BLOCK_ROWS

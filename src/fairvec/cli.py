@@ -132,18 +132,18 @@ def _nonnegative_float(value: str) -> float:
         number = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
-    if not number >= 0:
-        raise argparse.ArgumentTypeError("alpha must be >= 0")
+    if not 0 <= number < float("inf"):
+        raise argparse.ArgumentTypeError("alpha must be >= 0 and finite")
     return number
 
 
-def _positive_int(value: str) -> int:
+def _integer(value: str, low: int = 1) -> int:
     try:
         number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
+    if number < low:
+        raise argparse.ArgumentTypeError(f"value must be >= {low}")
     return number
 
 
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     debias.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_ALPHA,
                         help="ridge strength for --method hsr (default 60)")
     debias.add_argument("--out", required=True, help="output embedding file")
-    debias.add_argument("--vocab-cap", type=_positive_int, default=None,
+    debias.add_argument("--vocab-cap", type=_integer, default=None,
                         help="load only the first N vocabulary entries")
     debias.set_defaults(func=cmd_debias)
 
@@ -176,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
                           required=True)
     evaluate.add_argument("--label", default=None,
                           help="method tag recorded in the report (default: embedding file stem)")
-    evaluate.add_argument("--seed", type=int, default=42)
+    evaluate.add_argument("--seed", type=lambda value: _integer(value, 0), default=42)
     evaluate.add_argument("--out", required=True, help="report JSON path")
     evaluate.add_argument("--normalized-projection", action="store_true",
                           help="use cosine instead of dot product for projection bias")
-    evaluate.add_argument("--vocab-cap", type=_positive_int, default=None)
+    evaluate.add_argument("--vocab-cap", type=_integer, default=None)
     evaluate.add_argument("--sembias", default=None, help="definition-pair selection dataset")
     evaluate.add_argument("--weat", action="append", default=[], metavar="PATH",
                           help="association-test spec file (repeatable)")
@@ -189,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="NAME=PATH", help="word-pair dataset (repeatable)")
     evaluate.add_argument("--sts", action="append", default=[], type=_name_path_pair,
                           metavar="NAME=PATH", help="sentence-pair dataset (repeatable)")
-    evaluate.add_argument("--top-biased", type=_positive_int, default=500,
+    evaluate.add_argument("--top-biased", type=_integer, default=500,
                           help="biased words per gender for the relation pool (default 500)")
-    evaluate.add_argument("--neighbors", type=_positive_int,
+    evaluate.add_argument("--neighbors", type=_integer,
                           default=bias_metrics.DEFAULT_NEIGHBORS,
                           help="neighborhood size k (default %(default)s)")
-    evaluate.add_argument("--classify-n", type=_positive_int, default=2500,
+    evaluate.add_argument("--classify-n", type=_integer, default=2500,
                           help="biased words per gender for classification (default 2500)")
-    evaluate.add_argument("--classify-train", type=_positive_int, default=500,
+    evaluate.add_argument("--classify-train", type=_integer, default=500,
                           help="training words per gender for classification (default 500)")
     evaluate.set_defaults(func=cmd_eval)
 
@@ -312,7 +312,8 @@ def _eval_relation(args, embeddings, original, part, report: dict) -> None:
             correlation, points = bias_metrics.gbwr_profession(
                 embeddings, professions, pool, original, k=args.neighbors,
                 normalized=args.normalized_projection)
-            _write_profession_tsv(_profession_tsv_path(args.out), points)
+            _write_tsv(str(Path(args.out).with_suffix(".professions.tsv")),
+                       [("word", "male_neighbors", "original_bias"), *points])
             report["provenance"]["profession_counts"] = {
                 "used": len(points),
                 "skipped": len(professions) - len(points),
@@ -369,18 +370,6 @@ def _eval_quality(args, embeddings, report: dict) -> None:
         report["metrics"]["sts"] = sts
         _run(report, "sts_yearly_average", lambda: quality_eval.yearly_average(
             sorted((name, entry["pearson_x100"]) for name, entry in sts.items())))
-
-
-def _profession_tsv_path(report_path: str) -> str:
-    path = Path(report_path)
-    return str(path.with_name(path.stem + ".professions.tsv"))
-
-
-def _write_profession_tsv(path: str, points) -> None:
-    lines = ["word\tmale_neighbors\toriginal_bias"]
-    for word, count, bias in points:
-        lines.append(f"{word}\t{count}\t{bias!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -452,14 +441,29 @@ def _flatten(value, prefix: str, into: dict) -> None:
         into[prefix] = value
 
 
-def _format_cell(value) -> str:
+def _tsv_field(value) -> str:
+    """One table cell: blank for None, true or false for a bool, repr for a
+    float. A cell that holds a tab, a line break or '"' is quoted as csv
+    quotes it (csv.writer itself leaves a lone carriage return bare)."""
     if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        text = ""
+    elif isinstance(value, bool):
+        text = "true" if value else "false"
+    else:
+        text = repr(value) if isinstance(value, float) else str(value)
+    if any(c in text for c in '\t\n\r"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_tsv(path: str | None, rows) -> None:
+    """Write rows of cells as tab-separated lines to `path`, or to stdout
+    without one; csv.reader with delimiter="\\t" reads every cell back."""
+    text = "".join("\t".join(map(_tsv_field, row)) + "\n" for row in rows)
+    if path:
+        _atomic_write(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -476,6 +480,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         flat: dict = {}
         _flatten(document.get("metrics", {}), "", flat)
         name = document.get("method", Path(path).stem)
+        if not isinstance(name, str):
+            raise ParseError(f"{path}: not a JSON report (method is not a string)")
         while name in columns:
             name += "+"
         columns.append(name)
@@ -487,15 +493,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
               file=sys.stderr)
     all_keys = sorted(set().union(*key_sets))
 
-    lines = ["metric\t" + "\t".join(columns)]
-    for key in all_keys:
-        cells = [_format_cell(table.get(key)) for table in tables]
-        lines.append(key + "\t" + "\t".join(cells))
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, output)
-    else:
-        sys.stdout.write(output)
+    _write_tsv(args.out, [["metric", *columns],
+                          *([key, *(table.get(key) for table in tables)] for key in all_keys)])
     return 0
 
 
@@ -503,6 +502,9 @@ def _usage_error(args: argparse.Namespace) -> str | None:
     """What makes the command line unusable, found before any file is read."""
     if args.command == "compare" and len(args.reports) < 2:
         return "compare needs at least 2 reports"
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        return f"--out {args.out!r} is a directory or is in one that does not exist"
     if args.command != "eval":
         return None
     if args.metrics in ("direction", "relation") and not args.gender_list:

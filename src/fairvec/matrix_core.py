@@ -25,15 +25,13 @@ _LLOYD_TOL = 1e-6
 # Hinge-loss classifier: L2 strength and passes over the training set.
 _CLASSIFIER_L2 = 1e-4
 _CLASSIFIER_EPOCHS = 200
-# Skipping its steps that cannot update: the first batch of steps tried at
-# once, the largest, the shortest certain run worth a batch, the most plain
-# steps between tries, and the shrink factors applied per reduction.
+# Finding its steps that do not update in batches: the first batch of steps
+# tried at once, the largest, the shortest run without an update worth a
+# batch, and the most plain steps between tries.
 _SKIP_CHUNK = 32
 _SKIP_MAX_CHUNK = 1 << 15
 _SKIP_MIN_RUN = 4
 _SKIP_MAX_WAIT = 4096
-_SHRINK_BLOCK = 256
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,15 +367,15 @@ def train_linear_classifier(train_points, train_labels, seed: int) -> LinearClas
     """Train a binary hinge-loss classifier by per-sample subgradient descent.
 
     Objective: mean hinge loss + (l2/2)||w||^2 with an unregularized bias,
-    l2 = _CLASSIFIER_L2. Step size decays as 1/(1 + l2 * t); sample order is
-    reshuffled in each of _CLASSIFIER_EPOCHS epochs from the seed, so
+    l2 = _CLASSIFIER_L2. Step t (from 1) has size eta_t = 1/(1 + l2 t); sample
+    order is reshuffled in each of _CLASSIFIER_EPOCHS epochs from the seed, so
     training is deterministic.
 
-    The weights and bias are bitwise those of the plain per-sample loop. A
-    step whose margin is at least 1 only shrinks w; such steps are found in
-    batches from one product x @ w and skipped when a rounding-error bound
-    proves the loop's own margin is at least 1 too (_Estimates). Their
-    shrink factors are then applied one after another, as the loop would.
+    Step t shrinks w by 1 - eta_t l2 = eta_t / eta_{t-1}, so the factors
+    telescope (Shalev-Shwartz et al. 2007, Pegasos): w after step t is eta_t v,
+    with eta_0 = 1, where v sums s x over the steps whose margin
+    s (w.x + b) = eta_{t-1} (v . s x) + s b was below 1, and each such step
+    adds eta_t s to b. A step that does not update changes nothing.
     """
     x = _as_matrix(train_points, "train_points")
     y = np.asarray(train_labels).ravel()
@@ -392,45 +390,51 @@ def train_linear_classifier(train_points, train_labels, seed: int) -> LinearClas
         raise InputError("training set must contain both classes")
 
     signs = np.where(positive, 1.0, -1.0)
+    signed = np.multiply(x, signs[:, None], order="C")  # rows times their sign: exact
     rng = np.random.default_rng(seed)
     samples = np.concatenate([rng.permutation(x.shape[0]) for _ in range(_CLASSIFIER_EPOCHS)])
-    etas = 1.0 / (1.0 + _CLASSIFIER_L2 * np.arange(1, samples.size + 1, dtype=np.float64))
-    decays = 1.0 - etas * _CLASSIFIER_L2
-    w, b = _descend(x, signs, samples, etas, decays)
-    return LinearClassifier(weights=w, bias=b)
+    etas = 1.0 / (1.0 + _CLASSIFIER_L2 * np.arange(samples.size + 1, dtype=np.float64))
+    v, b = _descend(signed, signs, samples, etas)
+    return LinearClassifier(weights=etas[-1] * v, bias=b)
 
 
-def _descend(x: np.ndarray, signs: np.ndarray, samples: np.ndarray, etas: np.ndarray,
-             decays: np.ndarray) -> tuple[np.ndarray, float]:
-    """The weights and bias after every step of train_linear_classifier.
+def _descend(signed: np.ndarray, signs: np.ndarray, samples: np.ndarray,
+             etas: np.ndarray) -> tuple[np.ndarray, float]:
+    """v and b after every step of train_linear_classifier.
 
-    Steps are tried in batches (_Estimates.certain_run): the steps a batch
-    certifies are skipped, and the first one it cannot certify runs as a
-    plain step. A batch certain throughout doubles the next one; otherwise
-    the next is twice the running mean of certain runs, which weighs each
-    new run 1/4. While that mean is below _SKIP_MIN_RUN, batches cost more
-    than the plain steps they save, so plain steps run instead, twice as
-    many after each such batch in a row, up to _SKIP_MAX_WAIT.
+    A batch of upcoming steps takes its margins from one np.vecdot over
+    their signed rows, which rounds each row as a single step's np.dot does,
+    so the batch finds the first step that updates exactly: the steps before
+    it are skipped, and it runs as a plain step. A batch with no update
+    doubles the next one; otherwise the next is twice the running mean of
+    the runs without one, which weighs each new run 1/4. While that mean is
+    below _SKIP_MIN_RUN, batches cost more than the steps they skip, so
+    plain steps run instead, twice as many after each such batch in a row,
+    up to _SKIP_MAX_WAIT.
     """
-    w = np.zeros(x.shape[1], dtype=np.float64)
+    v = np.zeros(signed.shape[1], dtype=np.float64)
     b = 0.0
-    plain = (list(x), signs.tolist(), samples, etas, decays, np.empty_like(w))
-    estimates = _Estimates(x, signs, samples, decays)
-    stack = np.empty((_SHRINK_BLOCK + 1, x.shape[1]))
+    plain = (list(signed), signs.tolist(), samples, etas)
+    step_signs = signs[samples]
     total = samples.size
     p = 0
     batch = backoff = _SKIP_CHUNK
     mean_run = float(_SKIP_MIN_RUN)
     while p < total:
         k = min(batch, total - p)
-        run = estimates.certain_run(w, b, p, k)
-        _shrink(w, decays[p:p + run], stack)
+        picked = samples[p:p + k]
+        if k >= len(signed):
+            dots = np.vecdot(signed, v)[picked]
+        else:
+            dots = np.vecdot(np.take(signed, picked, axis=0), v)
+        updates = etas[p:p + k] * dots + step_signs[p:p + k] * b < 1.0
+        run = int(updates.argmax()) if updates.any() else k
         p += run
         if run == k:
             batch = min(2 * batch, _SKIP_MAX_CHUNK)
             backoff = _SKIP_CHUNK
             continue
-        b = _plain_steps(w, b, p, p + 1, *plain)
+        b = _plain_steps(v, b, p, p + 1, *plain)
         p += 1
         mean_run += (run - mean_run) / 4
         if mean_run >= _SKIP_MIN_RUN:
@@ -438,91 +442,21 @@ def _descend(x: np.ndarray, signs: np.ndarray, samples: np.ndarray, etas: np.nda
             backoff = _SKIP_CHUNK
         else:
             stop = min(p + backoff, total)
-            b = _plain_steps(w, b, p, stop, *plain)
+            b = _plain_steps(v, b, p, stop, *plain)
             p = stop
             batch = _SKIP_CHUNK
             backoff = min(2 * backoff, _SKIP_MAX_WAIT)
-    return w, float(b)
+    return v, b
 
 
-def _plain_steps(w, b, start, stop, rows, signs, samples, etas, decays, scratch) -> float:
-    """Steps start..stop-1 of the per-sample loop, updating w in place; returns b."""
-    dot, multiply, add = np.dot, np.multiply, np.add
-    for i, eta, decay in zip(samples[start:stop].tolist(), etas[start:stop].tolist(),
-                             decays[start:stop].tolist()):
+def _plain_steps(v, b, start, stop, rows, signs, samples, etas) -> float:
+    """Steps start..stop-1 of the per-sample loop, updating v in place; returns b."""
+    dot = np.dot
+    scales = etas[start:stop + 1].tolist()
+    for t, i in enumerate(samples[start:stop].tolist()):
         row = rows[i]
         sign = signs[i]
-        margin = sign * (dot(w, row) + b)
-        multiply(w, decay, out=w)
-        if margin < 1.0:
-            step = eta * sign
-            multiply(row, step, out=scratch)
-            add(w, scratch, out=w)
-            b += step
+        if scales[t] * dot(v, row) + sign * b < 1.0:
+            v += row
+            b += scales[t + 1] * sign
     return b
-
-
-class _Estimates:
-    """Margins of upcoming steps estimated from one product with x, and a
-    rounding-error bound that certifies those of at least 1.
-
-    Until a step updates, w only shrinks: step p+q sees w times the q
-    factors before it, whose product P_q is taken here as a cumprod, so its
-    margin is about t_q = s (P_q (x . w) + b). To first order, the loop's
-    own margin (np.dot on the shrunk w, then + b) is within
-        ((2q + 4) u + 2 gamma_d) P_q sum_j |x_j w_j| + 2 u |t_q|
-    of t_q as computed here, with u = 2**-53 and gamma_d = d u / (1 - d u):
-    q roundings of w and q - 1 of the cumprod, a dot product of d terms on
-    either side, and one rounding of each sum with b. Since P_q <= 1 and
-    sum_j |x_j w_j| <= |x| |w| (Cauchy-Schwarz), twice the first term is at
-    most one slack per batch, taking q as the batch size and |x| as the
-    largest row norm. A step is certain when t_q reaches 1 + 8 u + slack:
-    its margin is then at least 1, so it does not update. The factor 2
-    covers the higher-order terms and the rounding of the bound itself.
-    """
-
-    def __init__(self, x, signs, samples, decays):
-        self.signed = x * signs[:, None]  # rows times their sign: exact
-        self.samples = samples
-        self.decays = decays
-        self.signs = signs[samples]
-        self.x_norm = math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
-        d = x.shape[1]
-        self.gamma = d * _UNIT_ROUNDOFF / (1 - d * _UNIT_ROUNDOFF)
-        self.scale = np.ones(min(_SKIP_MAX_CHUNK, samples.size))
-
-    def certain_run(self, w: np.ndarray, b: float, p: int, k: int) -> int:
-        """How many of steps p, p+1, ..., p+k-1, in order, are certain."""
-        slack = (2.0 * ((2 * k + 4) * _UNIT_ROUNDOFF + 2 * self.gamma)
-                 * self.x_norm * math.sqrt(np.dot(w, w)))
-        # Below this |x| |w| < 2**1010, so no sum overflows; a NaN or inf
-        # slack fails the test too.
-        if not slack < 2.0 ** 960:
-            return 0
-        picked = self.samples[p:p + k]
-        if k >= len(self.signed):
-            margins = np.dot(self.signed, w)[picked]
-        else:
-            margins = np.dot(np.take(self.signed, picked, axis=0), w)
-        scale = self.scale[:k]
-        np.cumprod(self.decays[p:p + k - 1], out=scale[1:])
-        margins *= scale
-        margins += self.signs[p:p + k] * b
-        certain = margins >= 1.0 + 8 * _UNIT_ROUNDOFF + slack
-        run = int(certain.argmin())
-        return k if certain[run] else run
-
-
-def _shrink(w: np.ndarray, factors: np.ndarray, stack: np.ndarray) -> None:
-    """w *= f for each f of `factors` in turn, bitwise, a block of factors at a time.
-
-    A multiply reduction down the rows of [w; f1; f2; ...] multiplies each
-    column left to right, as the in-place loop does, in one call per block.
-    """
-    block = len(stack) - 1
-    for start in range(0, factors.size, block):
-        chunk = factors[start:start + block]
-        rows = stack[:chunk.size + 1]
-        rows[0] = w
-        rows[1:] = chunk[:, None]
-        np.multiply.reduce(rows, axis=0, out=w)

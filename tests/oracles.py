@@ -216,6 +216,37 @@ def linear_classifier_oracle(x, y, seed, l2=1e-4, epochs=200):
     at a time: the reference that fairvec.train_linear_classifier reproduces
     bit for bit.
 
+    Step t (from 1) has size eta_t = 1/(1 + l2 t) and shrinks w by
+    1 - eta_t l2 = eta_t / eta_{t-1}, so w = eta_t v with eta_0 = 1. A sample
+    whose margin eta_{t-1} (v . s x) + s b is below 1 adds s x to v and
+    eta_t s to b; s x is a row of one C-contiguous copy of the signed points,
+    and each dot product is np.dot. Sample order is a fresh permutation per
+    epoch from the seed.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    signs = np.where(np.asarray(y).ravel() == 1, 1.0, -1.0)
+    signed = np.ascontiguousarray(x * signs[:, None])
+    rng = np.random.default_rng(seed)
+    v = np.zeros(x.shape[1], dtype=np.float64)
+    b = 0.0
+    t = 0
+    eta = 1.0
+    for _ in range(epochs):
+        for i in rng.permutation(x.shape[0]):
+            t += 1
+            margin = eta * np.dot(v, signed[i]) + signs[i] * b
+            eta = 1.0 / (1.0 + l2 * t)
+            if margin < 1.0:
+                v += signed[i]
+                b += eta * signs[i]
+    return eta * v, float(b)
+
+
+def shrinking_classifier_oracle(x, y, seed, l2=1e-4, epochs=200):
+    """Weights and bias of per-sample hinge-loss subgradient descent, one step
+    at a time, shrinking w at every step: the textbook form of the loop that
+    linear_classifier_oracle runs with the shrink factors multiplied out.
+
     Step t (from 1) has size 1/(1 + l2 t) and shrinks w by 1 - eta l2; a
     sample whose margin s (w.x + b) is below 1 also moves w and b by eta s x
     and eta s. Sample order is a fresh permutation per epoch from the seed.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import hashlib
 import io
@@ -191,12 +192,16 @@ class TestDebiasCommand:
         (["--alpha", "abc"], "'abc' is not a number"),
         (["--alpha", "nan"], "alpha must be >= 0"),
         (["--vocab-cap", "0"], "value must be >= 1"),
+        (["--alpha", "inf"], "alpha must be >= 0"),
+        (["--out", "missing/x.txt"], "--out 'missing/x.txt'"),
+        (["--out", "."], "--out '.' is a directory"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
         def no_reading(*args, **kwargs):
             raise AssertionError("a file was read")
 
+        monkeypatch.chdir(workdir["dir"])  # where a relative --out resolves
         monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
         monkeypatch.setattr(fairvec.cli, "load_word_list", no_reading)
         out = workdir["dir"] / "x.txt"
@@ -610,6 +615,24 @@ class TestEvalCommand:
             for word, count, _ in (row.split("\t") for row in rows)
         ]
 
+    def test_profession_word_holding_a_tab_reads_back(self, workdir):
+        emb = workdir["dir"] / "emb.txt"
+        row = next(line for line in emb.read_text().splitlines() if line.startswith("m5 "))
+        word = 'm5\t"5"'
+        with open(emb, "a", encoding="utf-8") as handle:
+            handle.write(word + row[2:] + "\n")
+        with open(workdir["professions"], "a", encoding="utf-8") as handle:
+            handle.write(word + "\n")
+        out = str(workdir["dir"] / "tab.json")
+        assert self.run_eval(workdir, "relation", out, extra=[
+            "--professions", workdir["professions"], "--top-biased", "10", "--neighbors", "5",
+            "--classify-n", "20", "--classify-train", "5"]) == 0
+        with open(workdir["dir"] / "tab.professions.tsv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle, delimiter="\t"))
+        assert rows[0] == ["word", "male_neighbors", "original_bias"]
+        assert rows[-1][0] == word and len(rows) == 12
+        assert {len(row) for row in rows} == {3}
+
     def test_relation_byte_identical_reruns(self, workdir):
         outs = [str(workdir["dir"] / f"rel{i}.json") for i in (1, 2)]
         for out in outs:
@@ -887,12 +910,17 @@ class TestEvalCommand:
         (["--vocab-cap", "ten"], "'ten' is not an integer"),
         (["--wordsim", "nameonly"], "expected NAME=PATH, got 'nameonly'"),
         (["--sts", "=a.tsv"], "expected NAME=PATH, got '=a.tsv'"),
+        (["--seed", "-1"], "value must be >= 0"),
+        (["--seed", "1.5"], "'1.5' is not an integer"),
+        (["--out", "missing/usage.json"], "--out 'missing/usage.json'"),
+        (["--out", "."], "--out '.' is a directory"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
         def no_reading(*args, **kwargs):
             raise AssertionError("a file was read")
 
+        monkeypatch.chdir(workdir["dir"])  # where a relative --out resolves
         monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
         monkeypatch.setattr(fairvec.cli, "_sha256", no_reading)
         out = workdir["dir"] / "usage.json"
@@ -1022,6 +1050,30 @@ class TestCompareCommand:
             "projection_bias\t0.1\t0.2\t0.3\t0.4",
         ]
 
+    def test_cells_holding_tabs_read_back(self, tmp_path):
+        # a label, a test name or a dataset name may hold a tab, a line break or '"'
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        metrics = {"weat_pvalues": [{"name": "x\ty", "p_value": 0.5}],
+                   "word_similarity": {'say "hi"\r\n': {"spearman": 0.25}}}
+        self.make_report(a, "m\t1", metrics)
+        self.make_report(b, "m\r2", metrics)
+        out = tmp_path / "table.tsv"
+        assert main(["compare", str(a), str(b), "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            assert list(csv.reader(handle, delimiter="\t")) == [
+                ["metric", "m\t1", "m\r2"],
+                ["weat_pvalues.x\ty.p_value", "0.5", "0.5"],
+                ['word_similarity.say "hi"\r\n.spearman', "0.25", "0.25"],
+            ]
+
+    def test_out_in_missing_directory_exits_2_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "table.tsv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                  "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"--out {str(out)!r}" in capsys.readouterr().err
+
     def test_fewer_than_two_reports(self, tmp_path):
         path = tmp_path / "a.json"
         self.make_report(path, "m1", {})
@@ -1043,6 +1095,8 @@ class TestCompareCommand:
         (b"metric\tm1\n", "Expecting value: line 1 column 1 (char 0)"),
         (b'{"method": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
         (b"[1, 2]", "not an object"),
+        (b'{"method": 5}', "method is not a string"),
+        (b'{"method": null}', "method is not a string"),
     ])
     def test_not_a_report_exits_2(self, tmp_path, capsys, content, reason):
         good, bad = tmp_path / "a.json", tmp_path / "b.tsv"

@@ -12,6 +12,7 @@ import oracles
 from conftest import build_planted
 from fairvec import (
     InputError,
+    LinearClassifier,
     NumericalError,
     UndefinedCorrelationError,
     cosine_similarity,
@@ -381,6 +382,26 @@ SKIP_SETTINGS = {
 }
 
 
+@pytest.fixture(scope="module")
+def planted_training_sets():
+    """(name, embeddings, points, labels) at the paper default: 500 words per
+    side, taken from the 2,500 most biased of each, as gbwr_classification
+    takes them, on the original and both debiased sets."""
+    planted = build_planted(n_neutral=5000, dim=40, seed=8,
+                            coefficients=np.repeat([3.0, -3.0], 2500)
+                            * np.random.default_rng(8).uniform(0.05, 1.0, 5000))
+    original = planted.embeddings
+    part = partition(original, list(planted.gender_list))
+    lists = select_biased_words(original, part, 2500)
+    words = lists.male_biased[:500] + lists.female_biased[:500]
+    y = np.repeat([1, 0], 500)
+    config = HsrConfig(gender_list=planted.gender_list)
+    return [(name, embeddings, _rows(embeddings, words), y)
+            for name, embeddings in (("original", original),
+                                     ("hsr", hsr_debias(original, config).embeddings),
+                                     ("hard", hard_debias(original, config).embeddings))]
+
+
 def assert_matches_loop(x, y, seed):
     model = train_linear_classifier(x, y, seed)
     weights, bias = oracles.linear_classifier_oracle(x, y, seed)
@@ -389,7 +410,7 @@ def assert_matches_loop(x, y, seed):
 
 
 class TestClassifierMatchesPerSampleLoop:
-    """Skipping the steps proven not to update leaves the per-sample loop's bits."""
+    """Skipping the steps found not to update leaves the per-sample loop's bits."""
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 60), st.integers(1, 40),
            st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 5), st.integers(0, 5),
@@ -411,42 +432,58 @@ class TestClassifierMatchesPerSampleLoop:
                 patch.setattr(matrix_core, name, value)
             assert_matches_loop(x, y, int(rng.integers(1000)))
 
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 320), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_margins_round_as_one_step(self, seed, dim, k):
+        # The batches rest on this: np.vecdot rounds each row as np.dot does,
+        # over the whole matrix and over gathered rows. A margin that rounded
+        # otherwise would differ only within round-off of 1, where the tests
+        # above rarely land.
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(50, dim)) * 10.0 ** rng.uniform(-3, 3, size=(50, 1))
+        v = rng.normal(size=dim)
+        picked = rng.integers(0, 50, size=k)
+        expected = np.array([np.dot(v, rows[i]) for i in picked]).tobytes()
+        assert np.vecdot(np.take(rows, picked, axis=0), v).tobytes() == expected
+        assert np.vecdot(rows, v)[picked].tobytes() == expected
+
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_non_contiguous_points(self, layout):
-        # the plain steps take np.dot on the caller's rows, as the loop does
+        # every step reads a row of one C-contiguous copy, as the loop does
         rng = np.random.default_rng(5)
         y = np.repeat([1, 0], 20)
         x = rng.normal(size=(40, 16)) + np.where(y == 1, 2.0, -2.0)[:, None]
         x = np.asfortranarray(x[:, :8]) if layout == "fortran" else x[:, ::2]
         assert_matches_loop(x, y, 3)
 
-    def test_planted_training_sets_at_paper_default(self, monkeypatch):
-        # 500 words per side, taken from the 2,500 most biased of each, as
-        # gbwr_classification takes them, on the original and both debiased sets
-        planted = build_planted(n_neutral=5000, dim=40, seed=8,
-                                coefficients=np.repeat([3.0, -3.0], 2500)
-                                * np.random.default_rng(8).uniform(0.05, 1.0, 5000))
-        original = planted.embeddings
-        part = partition(original, list(planted.gender_list))
-        lists = select_biased_words(original, part, 2500)
-        words = lists.male_biased[:500] + lists.female_biased[:500]
-        y = np.repeat([1, 0], 500)
-        config = HsrConfig(gender_list=planted.gender_list)
-        skipped = []
-        real_shrink = matrix_core._shrink
+    def test_planted_training_sets_at_paper_default(self, monkeypatch, planted_training_sets):
+        one_at_a_time = []
+        real_plain_steps = matrix_core._plain_steps
 
-        def counting_shrink(w, factors, stack):
-            skipped.append(factors.size)
-            real_shrink(w, factors, stack)
+        def counting_plain_steps(v, b, start, stop, *rest):
+            one_at_a_time.append(stop - start)
+            return real_plain_steps(v, b, start, stop, *rest)
 
-        monkeypatch.setattr(matrix_core, "_shrink", counting_shrink)
-        for name, embeddings in (("original", original),
-                                 ("hsr", hsr_debias(original, config).embeddings),
-                                 ("hard", hard_debias(original, config).embeddings)):
-            skipped.clear()
-            assert_matches_loop(_rows(embeddings, words), y, 43)
+        monkeypatch.setattr(matrix_core, "_plain_steps", counting_plain_steps)
+        for name, _, x, y in planted_training_sets:
+            one_at_a_time.clear()
+            assert_matches_loop(x, y, 43)
             if name == "original":  # separable with a wide margin: nearly every step skipped
-                assert sum(skipped) > 0.99 * 200 * 1000
+                assert sum(one_at_a_time) < 0.01 * 200 * 1000
+
+
+class TestClassifierMatchesShrinkingLoop:
+    """Multiplying the shrink factors out moves only round-off."""
+
+    def test_planted_training_sets_at_paper_default(self, planted_training_sets):
+        for _, embeddings, x, y in planted_training_sets:
+            model = train_linear_classifier(x, y, 43)
+            weights, bias = oracles.shrinking_classifier_oracle(x, y, 43)
+            shrinking = LinearClassifier(weights, bias)
+            for points in (x, embeddings.vectors):
+                assert np.array_equal(model.predict(points), shrinking.predict(points))
+            error = np.append(model.weights - weights, model.bias - bias)
+            assert np.linalg.norm(error) <= 1e-12 * np.linalg.norm(np.append(weights, bias))
 
 
 class TestExactCosineRows:

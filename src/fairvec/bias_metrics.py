@@ -152,7 +152,8 @@ def mean_abs_projection_bias(
     embeddings: EmbeddingSet, lists: BiasedWordLists, normalized: bool = False
 ) -> float:
     """Mean |projection bias| over both biased lists; missing words are skipped."""
-    rows = [embeddings.index(w) for w in lists.all_words() if w in embeddings]
+    index = embeddings._index
+    rows = [index[w] for w in lists.all_words() if w in index]
     if not rows:
         raise InputError("no listed word is present in the vocabulary")
     return float(np.mean(np.abs(_projections(embeddings, rows, normalized))))

@@ -10,8 +10,10 @@ uses the seed itself, classification seed+1, the i-th association test
 seed+100+i). Output files are written atomically via a temp file and rename.
 
 `debias` also writes a binary copy of its output, `<out>.npz`, keyed by the
-sha256 of the `<out>` text. Every embedding load reads that copy instead of
-the text when the digests agree, and parses the text otherwise.
+sha256 of the `<out>` text, and, without --vocab-cap, of its input, keyed by
+the input text's sha256. Every embedding load reads that copy instead of the
+text when the digests agree, and parses the text otherwise; `eval` looks for
+--original-embeddings in the input entry of the --embeddings copy first.
 """
 
 from __future__ import annotations
@@ -105,19 +107,24 @@ def _binary_path(path: str) -> str:
     return path + ".npz"
 
 
-def _load_embedding_file(path: str, cap: int | None) -> tuple[EmbeddingSet, dict]:
+def _load_embedding_file(path: str, cap: int | None,
+                         input_of: str | None = None) -> tuple[EmbeddingSet, dict]:
     """Load an embedding file, and hash it for its provenance record.
 
-    The binary copy that `debias` wrote next to the file is used when it was
-    written for the bytes just hashed; otherwise the text is parsed.
+    A binary copy written for the bytes just hashed is read instead of the
+    text: first the input entry of the copy next to `input_of`, a `debias`
+    output that may have been computed from this file, then the copy
+    `debias` wrote next to the file itself. Otherwise the text is parsed.
     """
     record = _file_record(path)
-    embeddings = _load_binary(_binary_path(path), record["sha256"], cap)
-    if embeddings is None:
-        # A handle, not the path: the benchmark's tracer sizes the load by its name.
-        with open(path, encoding="utf-8") as handle:
-            embeddings = load_embeddings(handle, max_words=cap)
-    return embeddings, record
+    copies = [(_binary_path(input_of), "input_")] if input_of else []
+    for copy, entry in [*copies, (_binary_path(path), "")]:
+        embeddings = _load_binary(copy, record["sha256"], cap, entry)
+        if embeddings is not None:
+            return embeddings, record
+    # A handle, not the path: the benchmark's tracer sizes the load by its name.
+    with open(path, encoding="utf-8") as handle:
+        return load_embeddings(handle, max_words=cap), record
 
 
 def _name_path_pair(value: str) -> tuple[str, str]:
@@ -215,8 +222,11 @@ def cmd_debias(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     with _atomic_output(args.out, digest=digest) as handle:
         save_embeddings(result.embeddings, handle)
+    # Debias keeps the words and their order, so the input matrix can ride
+    # along under the output's words; a capped input is not the hashed file's.
+    source = (embeddings_record["sha256"], embeddings.vectors) if args.vocab_cap is None else None
     with _atomic_output(_binary_path(args.out), binary=True) as handle:
-        _save_binary(result.embeddings, digest.hexdigest(), handle)
+        _save_binary(result.embeddings, digest.hexdigest(), handle, source)
     sidecar = {
         "method": result.method,
         "alpha": args.alpha,
@@ -381,8 +391,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         original = embeddings  # the same file: reuse it and its digest
         original_record = dict(embeddings_record, path=args.original_embeddings)
     else:
-        original, original_record = _load_embedding_file(args.original_embeddings,
-                                                         args.vocab_cap)
+        original, original_record = _load_embedding_file(
+            args.original_embeddings, args.vocab_cap, input_of=args.embeddings)
 
     provenance = {
         "seed": args.seed,

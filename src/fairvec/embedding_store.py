@@ -479,35 +479,42 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
                 os.waitpid(pid, 0)
 
 
-def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes]) -> None:
+def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes],
+                 source: tuple[str, np.ndarray] | None = None) -> None:
     """Write the set as an uncompressed .npz archive that _load_binary reads.
 
     The archive holds the sha256 of the text file the set was saved as, the
     words as UTF-8 joined by newlines in a uint8 array (EmbeddingSet admits
     no newline in a word; a fixed-width string array would drop trailing
-    NULs) and the float64 matrix.
+    NULs) and the float64 matrix. A `source`, the sha256 of another text and
+    the matrix it parses to under the same words, is stored as the entry
+    input_sha256 and input_vectors.
     """
     words = "\n".join(embeddings.words).encode("utf-8")
+    entries = {} if source is None else {"input_sha256": np.array(source[0]),
+                                         "input_vectors": source[1]}
     np.savez(sink, sha256=np.array(text_sha256),
-             words=np.frombuffer(words, dtype=np.uint8), vectors=embeddings.vectors)
+             words=np.frombuffer(words, dtype=np.uint8), vectors=embeddings.vectors, **entries)
 
 
-def _load_binary(path: str, text_sha256: str,
-                 max_words: int | None = None) -> EmbeddingSet | None:
-    """The set that _save_binary wrote to `path` for the text with this digest.
+def _load_binary(path: str, text_sha256: str, max_words: int | None = None,
+                 entry: str = "") -> EmbeddingSet | None:
+    """The set that _save_binary wrote to `path` for the text with this
+    digest: its own, or with `entry` "input_" its source.
 
     None, so that the caller parses the text instead, when the archive is
-    missing or unreadable, was written for other text, is not shaped as
-    _save_binary writes it, repeats a word, or fails EmbeddingSet's
-    validation. Like the text loader, `max_words` keeps the first rows. The
-    set takes over the archive's matrix; only a capped load copies its rows.
+    missing or unreadable, holds no such entry, was written for other text,
+    is not shaped as _save_binary writes it, repeats a word, or fails
+    EmbeddingSet's validation. Like the text loader, `max_words` keeps the
+    first rows. The set takes over the archive's matrix; only a capped load
+    copies its rows.
     """
     try:
         with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            if archive["sha256"].item() != text_sha256:
+            if archive[entry + "sha256"].item() != text_sha256:
                 return None
             words = archive["words"].tobytes().decode("utf-8").split("\n")
-            vectors = archive["vectors"]
+            vectors = archive[entry + "vectors"]
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
         return None
     if (vectors.dtype != np.float64 or vectors.ndim != 2 or not vectors.flags.c_contiguous

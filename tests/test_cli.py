@@ -368,21 +368,24 @@ def text_parses(monkeypatch):
 class TestBinaryCopy:
     """`debias` writes <out>.npz; loads use it only for the exact text it was written with."""
 
-    def debias(self, workdir, name, source=None):
+    def debias(self, workdir, name, source=None, extra=()):
         out = str(workdir["dir"] / name)
         code = main([
             "debias", "--embeddings", source or workdir["emb"],
-            "--gender-list", workdir["gender"], "--out", out,
+            "--gender-list", workdir["gender"], "--out", out, *extra,
         ])
         assert code == 0
         return out
 
-    def eval_outputs(self, workdir, embeddings, group, extra=()):
+    def eval_outputs(self, workdir, embeddings, group, extra=(), original=None):
+        """The report, and for relation the professions table, as bytes;
+        direction evals take --original-embeddings from emb.txt by default."""
         out = workdir["dir"] / f"{group}.json"
         argv = ["eval", "--embeddings", embeddings, "--metrics", group, "--label", "x",
                 "--out", str(out), *extra]
         if group == "direction":
-            argv += ["--original-embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+            original = original or workdir["emb"]
+            argv += ["--gender-list", workdir["gender"],
                      "--sembias", workdir["sembias"], "--top-biased", "10"]
         elif group == "relation":
             argv += ["--gender-list", workdir["gender"], "--weat", workdir["weat"],
@@ -391,6 +394,8 @@ class TestBinaryCopy:
         else:
             argv += ["--wordsim", f"toy={workdir['wordsim']}",
                      "--sts", f"2015/planted={workdir['sts']}"]
+        if original:
+            argv += ["--original-embeddings", original]
         assert main(argv) == 0
         outputs = [out.read_bytes()]
         if group == "relation":
@@ -412,6 +417,74 @@ class TestBinaryCopy:
         assert self.eval_outputs(workdir, hsr, group, extra) == with_copy
         assert "hsr.txt" in text_parses
 
+    @pytest.mark.parametrize("group", ["direction", "relation"])
+    @pytest.mark.parametrize("extra", [[], ["--vocab-cap", "58"]], ids=["full", "capped"])
+    def test_eval_against_input_parses_no_text(self, workdir, text_parses, group, extra):
+        # The input entry of hsr.txt.npz serves --original-embeddings emb.txt.
+        hsr = self.debias(workdir, "hsr.txt")
+        with np.load(hsr + ".npz") as archive:
+            assert str(archive["input_sha256"]) == read_json(
+                hsr + ".meta.json")["inputs"]["embeddings"]["sha256"]
+            assert archive["input_vectors"].tobytes() == load_embeddings(
+                workdir["emb"]).vectors.tobytes()
+        with_copy = self.eval_outputs(workdir, hsr, group, extra, original=workdir["emb"])
+        assert text_parses == ["emb.txt"]  # the debias alone
+        os.remove(hsr + ".npz")
+        assert self.eval_outputs(workdir, hsr, group, extra, original=workdir["emb"]) == with_copy
+        assert text_parses == ["emb.txt", "hsr.txt", "emb.txt"]
+
+    def test_capped_debias_writes_no_input_entry(self, workdir, text_parses):
+        hsr = self.debias(workdir, "hsr.txt", extra=["--vocab-cap", "50"])
+        with np.load(hsr + ".npz") as archive:
+            assert sorted(archive.files) == ["sha256", "vectors", "words"]
+        self.eval_outputs(workdir, hsr, "direction", ["--vocab-cap", "50"])
+        assert text_parses == ["emb.txt", "emb.txt"]
+
+    def test_edited_input_ignores_input_entry(self, workdir, text_parses):
+        hsr = self.debias(workdir, "hsr.txt")
+        before = self.eval_outputs(workdir, hsr, "direction")
+        planted = workdir["planted"].embeddings
+        write_embedding_file(workdir["emb"], EmbeddingSet(planted.words, 2 * planted.vectors))
+        edited = self.eval_outputs(workdir, hsr, "direction")
+        assert text_parses == ["emb.txt", "emb.txt"]
+        os.remove(hsr + ".npz")
+        assert self.eval_outputs(workdir, hsr, "direction") == edited != before
+
+    def test_edited_output_keeps_input_entry(self, workdir, text_parses):
+        hsr = self.debias(workdir, "hsr.txt")
+        Path(hsr).write_bytes(Path(workdir["emb"]).read_bytes())  # same words, other vectors
+        edited = self.eval_outputs(workdir, hsr, "direction")
+        assert text_parses == ["emb.txt", "hsr.txt"]
+        os.remove(hsr + ".npz")
+        assert self.eval_outputs(workdir, hsr, "direction") == edited
+        assert text_parses == ["emb.txt", "hsr.txt", "hsr.txt", "emb.txt"]
+
+    def test_archive_without_input_entry_serves_output(self, workdir, text_parses):
+        # The archive as debias wrote it before the input entry existed.
+        hsr = self.debias(workdir, "hsr.txt")
+        expected = self.eval_outputs(workdir, hsr, "direction")
+        with np.load(hsr + ".npz") as archive:
+            own = {key: archive[key] for key in ("sha256", "words", "vectors")}
+        np.savez(hsr + ".npz", **own)
+        assert self.eval_outputs(workdir, hsr, "direction") == expected
+        assert text_parses == ["emb.txt", "emb.txt"]
+
+    @pytest.mark.parametrize("damage", [
+        lambda entries: entries.update(input_sha256=np.array("0" * 64)),
+        lambda entries: entries.update(input_vectors=entries["input_vectors"][:-1]),
+        lambda entries: entries.update(input_vectors=entries["input_vectors"].astype(np.float32)),
+        lambda entries: entries["input_vectors"].__setitem__((3, 2), np.inf),
+    ], ids=["other-digest", "fewer-rows", "float32", "inf"])
+    def test_bad_input_entry_ignored(self, workdir, text_parses, damage):
+        hsr = self.debias(workdir, "hsr.txt")
+        expected = self.eval_outputs(workdir, hsr, "direction")
+        with np.load(hsr + ".npz") as archive:
+            entries = {key: archive[key] for key in archive.files}
+        damage(entries)
+        np.savez(hsr + ".npz", **entries)
+        assert self.eval_outputs(workdir, hsr, "direction") == expected
+        assert text_parses == ["emb.txt", "emb.txt"]  # the output copy still serves
+
     def test_edited_text_ignores_binary_copy(self, workdir, text_parses):
         hsr = self.debias(workdir, "hsr.txt")
         debiased = self.eval_outputs(workdir, hsr, "quality")
@@ -429,12 +502,14 @@ class TestBinaryCopy:
         lambda data: b"",
     ], ids=["half", "last-byte", "garbage", "empty"])
     def test_damaged_binary_copy_ignored(self, workdir, text_parses, damage):
+        # Both entries are lost: the output's and, for a direction eval, the input's.
         hsr = self.debias(workdir, "hsr.txt")
         copy = Path(hsr + ".npz")
-        expected = self.eval_outputs(workdir, hsr, "quality")
+        expected = [self.eval_outputs(workdir, hsr, group) for group in ("quality", "direction")]
         copy.write_bytes(damage(copy.read_bytes()))
-        assert self.eval_outputs(workdir, hsr, "quality") == expected
-        assert text_parses == ["emb.txt", "hsr.txt"]
+        assert [self.eval_outputs(workdir, hsr, group)
+                for group in ("quality", "direction")] == expected
+        assert text_parses == ["emb.txt", "hsr.txt", "hsr.txt", "emb.txt"]
 
     def test_truncated_binary_copy_leaves_no_open_file(self, workdir):
         hsr = self.debias(workdir, "hsr.txt")

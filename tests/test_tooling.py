@@ -134,6 +134,38 @@ def test_trace_counts_text_loads_only(tmp_path):
     assert "embedding_store.EmbeddingSet" in names[debias_spans:]
 
 
+def test_trace_eval_against_debias_input_loads_no_text(tmp_path):
+    # A direction eval of a debias output against that debias's input reads
+    # both sets from the output's binary copy: the benchmark's text-load
+    # metrics must see no load at all.
+    from conftest import build_planted, write_embedding_file
+    from fairvec import cli
+
+    planted = build_planted(n_neutral=40, dim=8, n_definition=4, seed=3)
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, planted.embeddings)
+    gender = tmp_path / "gender.txt"
+    gender.write_text("\n".join(planted.gender_list) + "\n")
+    hsr = str(tmp_path / "hsr.txt")
+    assert cli.main(["debias", "--embeddings", str(emb), "--gender-list", str(gender),
+                     "--out", hsr]) == 0
+
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["eval", "--embeddings", hsr, "--original-embeddings", str(emb),
+                         "--gender-list", str(gender), "--metrics", "direction",
+                         "--top-biased", "5", "--out", str(tmp_path / "d.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    names = [span[0] for span in tracer.spans]
+    assert "bias_metrics.mean_abs_projection_bias" in names
+    assert "embedding_store.load_embeddings" not in names
+    assert tracer.counters.get("embedding_store.load_embeddings.bytes", 0) == 0
+    assert names.count("embedding_store.EmbeddingSet") == 2
+
+
 def test_alpha_sweep_fits_once(monkeypatch):
     # The alpha-sweep workload times hsr_debias over 12 alphas plus one hard_debias
     # on one set; all of them share one SVD of the definition rows and none

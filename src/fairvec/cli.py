@@ -9,11 +9,11 @@ every random choice derives from --seed through fixed offsets (clustering
 uses the seed itself, classification seed+1, the i-th association test
 seed+100+i). Output files are written atomically via a temp file and rename.
 
-`debias` also writes a binary copy of its output, `<out>.npz`, keyed by the
-sha256 of the `<out>` text, and, without --vocab-cap, of its input, keyed by
-the input text's sha256. Every embedding load reads that copy instead of the
-text when the digests agree, and parses the text otherwise; `eval` looks for
---original-embeddings in the input entry of the --embeddings copy first.
+`debias` also writes `<out>.npz`, binary copies of `<out>` and, without
+--vocab-cap, of its input, each keyed by the sha256 of the text it was made
+for and serving any file with those bytes. A command hashes its embedding
+files first, opens each one's copy once in argument order (`eval`:
+--embeddings first), and parses only the text that no copy holds.
 """
 
 from __future__ import annotations
@@ -103,28 +103,32 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
 
 
-def _binary_path(path: str) -> str:
-    return path + ".npz"
+def _load_embedding_files(paths: list[str], cap: int | None) -> list[tuple[EmbeddingSet, dict]]:
+    """Each embedding file with its provenance record, in argument order.
 
-
-def _load_embedding_file(path: str, cap: int | None,
-                         input_of: str | None = None) -> tuple[EmbeddingSet, dict]:
-    """Load an embedding file, and hash it for its provenance record.
-
-    A binary copy written for the bytes just hashed is read instead of the
-    text: first the input entry of the copy next to `input_of`, a `debias`
-    output that may have been computed from this file, then the copy
-    `debias` wrote next to the file itself. Otherwise the text is parsed.
+    Every distinct file is hashed once, before any is loaded. A set that
+    `debias` stored in a `<file>.npz` copy for exactly those bytes is read
+    instead of the text: each file's copy is opened once, in argument order,
+    and asked for every digest not yet served. What no copy holds is parsed
+    from its text, once per distinct digest.
     """
-    record = _file_record(path)
-    copies = [(_binary_path(input_of), "input_")] if input_of else []
-    for copy, entry in [*copies, (_binary_path(path), "")]:
-        embeddings = _load_binary(copy, record["sha256"], cap, entry)
-        if embeddings is not None:
-            return embeddings, record
-    # A handle, not the path: the benchmark's tracer sizes the load by its name.
-    with open(path, encoding="utf-8") as handle:
-        return load_embeddings(handle, max_words=cap), record
+    hashed: dict[str, str] = {}  # absolute path -> sha256
+    records = []
+    for path in paths:
+        key = os.path.abspath(path)
+        if key not in hashed:
+            hashed[key] = _sha256(path)
+        records.append({"path": path, "sha256": hashed[key]})
+    sets: dict[str, EmbeddingSet] = {}
+    for key in hashed:
+        wanted = set(hashed.values()) - sets.keys()
+        sets.update(_load_binary(key + ".npz", wanted, cap) if wanted else {})
+    for record in records:
+        if record["sha256"] not in sets:
+            # A handle, not the path: the benchmark's tracer sizes the load by its name.
+            with open(record["path"], encoding="utf-8") as handle:
+                sets[record["sha256"]] = load_embeddings(handle, max_words=cap)
+    return [(sets[record["sha256"]], record) for record in records]
 
 
 def _name_path_pair(value: str) -> tuple[str, str]:
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_debias(args: argparse.Namespace) -> int:
-    embeddings, embeddings_record = _load_embedding_file(args.embeddings, args.vocab_cap)
+    [(embeddings, embeddings_record)] = _load_embedding_files([args.embeddings], args.vocab_cap)
     config = HsrConfig(gender_list=tuple(load_word_list(args.gender_list)), alpha=args.alpha)
     result = (hsr_debias if args.method == "hsr" else hard_debias)(embeddings, config)
 
@@ -225,7 +229,7 @@ def cmd_debias(args: argparse.Namespace) -> int:
     # Debias keeps the words and their order, so the input matrix can ride
     # along under the output's words; a capped input is not the hashed file's.
     source = (embeddings_record["sha256"], embeddings.vectors) if args.vocab_cap is None else None
-    with _atomic_output(_binary_path(args.out), binary=True) as handle:
+    with _atomic_output(args.out + ".npz", binary=True) as handle:
         _save_binary(result.embeddings, digest.hexdigest(), handle, source)
     sidecar = {
         "method": result.method,
@@ -386,13 +390,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.original_embeddings is None:
         args.original_embeddings = args.embeddings
 
-    embeddings, embeddings_record = _load_embedding_file(args.embeddings, args.vocab_cap)
-    if os.path.abspath(args.original_embeddings) == os.path.abspath(args.embeddings):
-        original = embeddings  # the same file: reuse it and its digest
-        original_record = dict(embeddings_record, path=args.original_embeddings)
-    else:
-        original, original_record = _load_embedding_file(
-            args.original_embeddings, args.vocab_cap, input_of=args.embeddings)
+    (embeddings, embeddings_record), (original, original_record) = _load_embedding_files(
+        [args.embeddings, args.original_embeddings], args.vocab_cap)
 
     provenance = {
         "seed": args.seed,
@@ -512,9 +511,9 @@ def _usage_error(args: argparse.Namespace) -> str | None:
     """What makes the command line unusable, found before any file is read."""
     if args.command == "compare" and len(args.reports) < 2:
         return "compare needs at least 2 reports"
-    if args.out and (os.path.isdir(args.out)
-                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
-        return f"--out {args.out!r} is a directory or is in one that does not exist"
+    if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out) or not
+                                 os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        return f"--out {args.out!r} is a directory, is empty or lies in a missing directory"
     if args.command != "eval":
         return None
     if args.metrics in ("direction", "relation") and not args.gender_list:

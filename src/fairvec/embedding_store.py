@@ -497,39 +497,38 @@ def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes],
              words=np.frombuffer(words, dtype=np.uint8), vectors=embeddings.vectors, **entries)
 
 
-def _load_binary(path: str, text_sha256: str, max_words: int | None = None,
-                 entry: str = "") -> EmbeddingSet | None:
-    """The set that _save_binary wrote to `path` for the text with this
-    digest: its own, or with `entry` "input_" its source.
+def _load_binary(path: str, digests: set[str],
+                 max_words: int | None = None) -> dict[str, EmbeddingSet]:
+    """The sets that _save_binary wrote to `path`, its own and its source,
+    keyed by the digest of the text each was written for, for the digests
+    in `digests`.
 
-    None, so that the caller parses the text instead, when the archive is
-    missing or unreadable, holds no such entry, was written for other text,
-    is not shaped as _save_binary writes it, repeats a word, or fails
+    An entry is left out, so that the caller parses the text instead, when
+    the archive is missing or unreadable, or the entry was written for other
+    text, is not shaped as _save_binary writes it, repeats a word, or fails
     EmbeddingSet's validation. Like the text loader, `max_words` keeps the
-    first rows. The set takes over the archive's matrix; only a capped load
-    copies its rows.
+    first rows. The words are decoded and indexed once, for every entry;
+    each set takes over its matrix, and only a capped load copies rows.
     """
     try:
         with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            if archive[entry + "sha256"].item() != text_sha256:
-                return None
-            words = archive["words"].tobytes().decode("utf-8").split("\n")
-            vectors = archive[entry + "vectors"]
+            stored = [(archive[e + "sha256"].item(), e) for e in ("", "input_")
+                      if e + "sha256" in archive]
+            found = [(digest, archive[e + "vectors"]) for digest, e in stored if digest in digests]
+            rows = archive["words"].tobytes().decode("utf-8").split("\n") if found else []
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
-        return None
-    if (vectors.dtype != np.float64 or vectors.ndim != 2 or not vectors.flags.c_contiguous
-            or len(vectors) != len(words)):
-        return None
-    words = tuple(words[:max_words])
+        return {}
+    words = tuple(rows[:max_words])
     index = dict(zip(words, range(len(words))))
-    if len(index) != len(words):
-        return None
-    if len(words) < len(vectors):
-        vectors = vectors[:len(words)].copy()
-    try:
-        return EmbeddingSet._owning(words, vectors, index)
-    except InputError:
-        return None
+    sets: dict[str, EmbeddingSet] = {}
+    for digest, vectors in found:
+        if (len(index) == len(words) and vectors.dtype == np.float64 and vectors.ndim == 2
+                and vectors.flags.c_contiguous and len(vectors) == len(rows)):
+            with contextlib.suppress(InputError):
+                sets[digest] = EmbeddingSet._owning(
+                    words, vectors[:len(words)].copy() if len(words) < len(rows) else vectors,
+                    index)
+    return sets
 
 
 def load_word_list(source: LineSource) -> list[str]:

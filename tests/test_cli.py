@@ -146,9 +146,10 @@ class TestDebiasCommand:
         assert os.path.abspath(out) not in reads
         text = Path(out).read_bytes()
         assert "café".encode() in text
+        digest = hashlib.sha256(text).hexdigest()
         with np.load(out + ".npz") as archive:
-            assert str(archive["sha256"]) == hashlib.sha256(text).hexdigest()
-        assert _load_binary(out + ".npz", hashlib.sha256(text).hexdigest()) is not None
+            assert str(archive["sha256"]) == digest
+        assert list(_load_binary(out + ".npz", {digest})) == [digest]
 
     def test_sidecar_metadata(self, workdir):
         out = str(workdir["dir"] / "hsr2.txt")
@@ -195,6 +196,8 @@ class TestDebiasCommand:
         (["--alpha", "inf"], "alpha must be >= 0"),
         (["--out", "missing/x.txt"], "--out 'missing/x.txt'"),
         (["--out", "."], "--out '.' is a directory"),
+        (["--out", ""], "--out '' is a directory, is empty"),
+        (["--out", "new/"], "--out 'new/' is a directory"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -202,7 +205,7 @@ class TestDebiasCommand:
             raise AssertionError("a file was read")
 
         monkeypatch.chdir(workdir["dir"])  # where a relative --out resolves
-        monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
+        monkeypatch.setattr(fairvec.cli, "_load_embedding_files", no_reading)
         monkeypatch.setattr(fairvec.cli, "load_word_list", no_reading)
         out = workdir["dir"] / "x.txt"
         with pytest.raises(SystemExit) as excinfo:
@@ -433,6 +436,56 @@ class TestBinaryCopy:
         assert self.eval_outputs(workdir, hsr, group, extra, original=workdir["emb"]) == with_copy
         assert text_parses == ["emb.txt", "hsr.txt", "emb.txt"]
 
+    def test_eval_against_input_reads_the_archive_once(self, workdir, monkeypatch):
+        # Both sets come from one read of hsr.txt.npz and share its decoded words.
+        hsr = self.debias(workdir, "hsr.txt")
+        reads, sets = [], []
+        real_load_binary, real_direction = fairvec.cli._load_binary, fairvec.cli._eval_direction
+
+        def counting_load_binary(path, *args):
+            reads.append(os.path.basename(path))
+            return real_load_binary(path, *args)
+
+        def recording_direction(args, embeddings, original, *rest):
+            sets.append((embeddings, original))
+            return real_direction(args, embeddings, original, *rest)
+
+        monkeypatch.setattr(fairvec.cli, "_load_binary", counting_load_binary)
+        monkeypatch.setattr(fairvec.cli, "_eval_direction", recording_direction)
+        self.eval_outputs(workdir, hsr, "direction", original=workdir["emb"])
+        assert reads == ["hsr.txt.npz"]
+        [(embeddings, original)] = sets
+        assert original is not embeddings
+        assert original.words is embeddings.words
+
+    @pytest.mark.parametrize("cap", [[], ["--vocab-cap", "58"]], ids=["full", "capped"])
+    @pytest.mark.parametrize("original", ["absent", "same", "input"])
+    @pytest.mark.parametrize("source", ["fresh", "stale", "absent"])
+    @pytest.mark.parametrize("own", ["fresh", "stale"])
+    def test_every_archive_state_writes_the_text_outputs(self, workdir, text_parses, own,
+                                                         source, original, cap):
+        # A stale entry was written for other bytes and holds other vectors, so
+        # serving it, or serving an entry for the wrong file, changes the outputs.
+        hsr = self.debias(workdir, "hsr.txt")
+        with np.load(hsr + ".npz") as archive:
+            entries = {key: archive[key] for key in archive.files}
+        other = np.array(hashlib.sha256(b"other text").hexdigest())
+        if own == "stale":
+            entries.update(sha256=other, vectors=2 * entries["vectors"])
+        if source == "stale":
+            entries.update(input_sha256=other, input_vectors=2 * entries["input_vectors"])
+        elif source == "absent":
+            del entries["input_sha256"], entries["input_vectors"]
+        np.savez(hsr + ".npz", **entries)
+        named = {"absent": None, "same": hsr, "input": workdir["emb"]}[original]
+        with_copies = self.eval_outputs(workdir, hsr, "relation", cap, original=named)
+        assert text_parses == ["emb.txt",  # the debias
+                               *["hsr.txt"] * (own == "stale"),
+                               *["emb.txt"] * (original == "input" and source != "fresh")]
+        for copy in workdir["dir"].glob("*.npz"):
+            copy.unlink()
+        assert self.eval_outputs(workdir, hsr, "relation", cap, original=named) == with_copies
+
     def test_capped_debias_writes_no_input_entry(self, workdir, text_parses):
         hsr = self.debias(workdir, "hsr.txt", extra=["--vocab-cap", "50"])
         with np.load(hsr + ".npz") as archive:
@@ -454,10 +507,10 @@ class TestBinaryCopy:
         hsr = self.debias(workdir, "hsr.txt")
         Path(hsr).write_bytes(Path(workdir["emb"]).read_bytes())  # same words, other vectors
         edited = self.eval_outputs(workdir, hsr, "direction")
-        assert text_parses == ["emb.txt", "hsr.txt"]
+        assert text_parses == ["emb.txt"]  # the input entry serves both files' bytes
         os.remove(hsr + ".npz")
         assert self.eval_outputs(workdir, hsr, "direction") == edited
-        assert text_parses == ["emb.txt", "hsr.txt", "hsr.txt", "emb.txt"]
+        assert text_parses == ["emb.txt", "hsr.txt"]  # one parse for the one digest
 
     def test_archive_without_input_entry_serves_output(self, workdir, text_parses):
         # The archive as debias wrote it before the input entry existed.
@@ -490,7 +543,7 @@ class TestBinaryCopy:
         debiased = self.eval_outputs(workdir, hsr, "quality")
         Path(hsr).write_bytes(Path(workdir["emb"]).read_bytes())  # same words, other vectors
         edited = self.eval_outputs(workdir, hsr, "quality")
-        assert text_parses == ["emb.txt", "hsr.txt"]
+        assert text_parses == ["emb.txt"]  # the input entry was written for these bytes
         original = self.eval_outputs(workdir, workdir["emb"], "quality")
         metrics = [json.loads(outputs[0])["metrics"] for outputs in (debiased, edited, original)]
         assert metrics[1] == metrics[2] != metrics[0]
@@ -518,7 +571,7 @@ class TestBinaryCopy:
         digest = hashlib.sha256(Path(hsr).read_bytes()).hexdigest()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _load_binary(str(copy), digest) is None
+            assert _load_binary(str(copy), {digest}) == {}
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -552,7 +605,7 @@ class TestBinaryCopy:
                      "--out", out]) == 0
         text = load_embeddings(out)
         digest = hashlib.sha256(Path(out).read_bytes()).hexdigest()
-        copy = _load_binary(out + ".npz", digest)
+        copy = _load_binary(out + ".npz", {digest})[digest]
         assert text.words == copy.words == ("7", "b", "c")
         assert np.array_equal(text.vectors, copy.vectors)
 
@@ -580,8 +633,8 @@ class TestBinaryCopy:
         with np.load(hsr + ".npz") as archive:
             sha256, words, vectors = archive["sha256"], archive["words"], archive["vectors"]
         np.savez(hsr + ".npz", sha256=sha256, words=words, vectors=damage(vectors))
-        assert _load_binary(hsr + ".npz", str(sha256)) is None
-        loaded, _ = fairvec.cli._load_embedding_file(hsr, None)
+        assert _load_binary(hsr + ".npz", {str(sha256)}) == {}
+        [(loaded, _)] = fairvec.cli._load_embedding_files([hsr], None)
         assert loaded.vectors.tobytes() == vectors.tobytes()
         assert self.eval_outputs(workdir, hsr, "quality") == expected
         assert text_parses == ["emb.txt", "hsr.txt", "hsr.txt"]
@@ -599,7 +652,7 @@ class TestBinaryCopy:
                          "digest", sink)
         tracemalloc.start()
         try:
-            loaded = _load_binary(path, "digest")
+            loaded = _load_binary(path, {"digest"})["digest"]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -967,7 +1020,7 @@ class TestEvalCommand:
         def no_reading(*args, **kwargs):
             raise AssertionError("a file was read")
 
-        monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
+        monkeypatch.setattr(fairvec.cli, "_load_embedding_files", no_reading)
         monkeypatch.setattr(fairvec.cli, "_sha256", no_reading)
         out = workdir["dir"] / "usage.json"
         argv = ["eval", "--embeddings", workdir["emb"], "--metrics", metrics,
@@ -989,6 +1042,8 @@ class TestEvalCommand:
         (["--seed", "1.5"], "'1.5' is not an integer"),
         (["--out", "missing/usage.json"], "--out 'missing/usage.json'"),
         (["--out", "."], "--out '.' is a directory"),
+        (["--out", ""], "--out '' is a directory, is empty"),
+        (["--out", "new/"], "--out 'new/' is a directory"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -996,7 +1051,7 @@ class TestEvalCommand:
             raise AssertionError("a file was read")
 
         monkeypatch.chdir(workdir["dir"])  # where a relative --out resolves
-        monkeypatch.setattr(fairvec.cli, "_load_embedding_file", no_reading)
+        monkeypatch.setattr(fairvec.cli, "_load_embedding_files", no_reading)
         monkeypatch.setattr(fairvec.cli, "_sha256", no_reading)
         out = workdir["dir"] / "usage.json"
         with pytest.raises(SystemExit) as excinfo:
@@ -1087,6 +1142,15 @@ class TestCompareCommand:
         }
         assert rows["projection_bias"] == ["0.5", ""]
         assert rows["gbwr_purity"] == ["", "0.9"]
+
+    def test_empty_out_exits_2_before_reading(self, tmp_path, capsys):
+        # The reports do not exist: reading one would fail with exit code 2, not exit.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", ""])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out '' is a directory, is empty" in err
 
     def test_column_order_follows_arguments(self, tmp_path, capsys):
         paths = []

@@ -423,7 +423,7 @@ class TestEverySetRoundTrips:
         with open(binary, "wb") as handle:
             embedding_store._save_binary(embeddings, "digest", handle)
         for loaded in (load_text(sink.getvalue()), load_embeddings(text),
-                       embedding_store._load_binary(str(binary), "digest")):
+                       embedding_store._load_binary(str(binary), {"digest"})["digest"]):
             assert loaded.words == embeddings.words
             assert loaded.vectors.tobytes() == embeddings.vectors.tobytes()
 

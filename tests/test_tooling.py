@@ -1,6 +1,6 @@
 """The benchmark's span tracer must find every function it wraps, the
-package keeps no private helper that nothing uses, and the test
-configuration reports every result.
+package keeps no private helper that nothing uses, the README's command
+lines parse, and the test configuration reports every result.
 
 perfbench/spans.py patches the functions it lists in TRACED by name; a
 refactor that drops or renames one would crash every traced benchmark run.
@@ -10,8 +10,11 @@ The module is loaded read-only from its file, without running the tracer.
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import importlib.util
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PACKAGE = SPANS.parent.parent / "src" / "fairvec"
 PYPROJECT = SPANS.parent.parent / "pyproject.toml"
+README = SPANS.parent.parent / "README.md"
 
 
 def test_no_unreferenced_private_module_names():
@@ -52,6 +56,27 @@ def test_no_unreferenced_private_module_names():
             if not any(name in read for statement, read in read_by if statement is not home)]
     assert defined
     assert dead == []
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    # Every fenced README block that starts with "fairvec " is a command line
+    # the CLI must accept as written: a renamed or dropped option fails here.
+    from fairvec import cli
+
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(block.replace("\\\n", " "))[1:]
+                for block in blocks if block.startswith("fairvec ")]
+    assert {argv[0] for argv in commands} == {"debias", "eval", "compare"}
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.chdir(tmp_path)  # where the examples' relative --out paths resolve
+    monkeypatch.setattr(builtins, "open", no_reading)
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert cli._usage_error(args) is None, argv
 
 
 def test_a_failing_property_test_hides_no_other_result(tmp_path):

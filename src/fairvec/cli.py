@@ -514,6 +514,20 @@ def _usage_error(args: argparse.Namespace) -> str | None:
     if args.out is not None and (not os.path.basename(args.out) or os.path.isdir(args.out) or not
                                  os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
         return f"--out {args.out!r} is a directory, is empty or lies in a missing directory"
+    writes = [args.out] if args.out else []
+    reads = args.reports if args.command == "compare" else [args.embeddings, args.gender_list]
+    if args.command == "debias":
+        writes += [args.out + ".npz", args.out + ".meta.json"]
+    if args.command == "eval":
+        reads += [args.original_embeddings, args.sembias, args.professions, *args.weat,
+                  *(path for _, path in args.wordsim + args.sts)]
+        if args.metrics == "relation" and args.professions:
+            writes.append(str(Path(args.out).with_suffix(".professions.tsv")))
+    inputs = {os.path.realpath(path): path for path in reads if path}
+    for path in writes:
+        source = inputs.get(os.path.realpath(path))
+        if source:
+            return f"output {path!r} would overwrite input {source!r}"
     if args.command != "eval":
         return None
     if args.metrics in ("direction", "relation") and not args.gender_list:

@@ -25,9 +25,9 @@ _LLOYD_TOL = 1e-6
 # Hinge-loss classifier: L2 strength and passes over the training set.
 _CLASSIFIER_L2 = 1e-4
 _CLASSIFIER_EPOCHS = 200
-# Finding its steps that do not update in batches: the first batch of steps
-# tried at once, the largest, the shortest run without an update worth a
-# batch, and the most plain steps between tries.
+# Finding its steps that do not update in batches, each twice the expected
+# run without an update: the smallest batch, the largest, the shortest mean
+# run worth a batch, and the longest back-off of plain steps between batches.
 _SKIP_CHUNK = 32
 _SKIP_MAX_CHUNK = 1 << 15
 _SKIP_MIN_RUN = 4
@@ -405,12 +405,12 @@ def _descend(signed: np.ndarray, signs: np.ndarray, samples: np.ndarray,
     A batch of upcoming steps takes its margins from one np.vecdot over
     their signed rows, which rounds each row as a single step's np.dot does,
     so the batch finds the first step that updates exactly: the steps before
-    it are skipped, and it runs as a plain step. A batch with no update
-    doubles the next one; otherwise the next is twice the running mean of
-    the runs without one, which weighs each new run 1/4. While that mean is
-    below _SKIP_MIN_RUN, batches cost more than the steps they skip, so
-    plain steps run instead, twice as many after each such batch in a row,
-    up to _SKIP_MAX_WAIT.
+    it are skipped, and a stretch of plain steps starts at it. Each batch is
+    twice the expected run without an update: the batch before if it had
+    none, else the running mean of the runs, which weighs each new run 1/4.
+    While that mean is below _SKIP_MIN_RUN, batches cost more than the steps
+    they skip, so a stretch runs on for the back-off, which doubles after
+    each stretch that did so, up to _SKIP_MAX_WAIT.
     """
     v = np.zeros(signed.shape[1], dtype=np.float64)
     b = 0.0
@@ -430,22 +430,16 @@ def _descend(signed: np.ndarray, signs: np.ndarray, samples: np.ndarray,
         updates = etas[p:p + k] * dots + step_signs[p:p + k] * b < 1.0
         run = int(updates.argmax()) if updates.any() else k
         p += run
-        if run == k:
-            batch = min(2 * batch, _SKIP_MAX_CHUNK)
-            backoff = _SKIP_CHUNK
-            continue
-        b = _plain_steps(v, b, p, p + 1, *plain)
-        p += 1
-        mean_run += (run - mean_run) / 4
-        if mean_run >= _SKIP_MIN_RUN:
-            batch = min(max(int(2 * mean_run), _SKIP_CHUNK), _SKIP_MAX_CHUNK)
-            backoff = _SKIP_CHUNK
-        else:
-            stop = min(p + backoff, total)
+        expected, wait = k, 0
+        if run < k:
+            mean_run += (run - mean_run) / 4
+            expected = mean_run
+            wait = backoff if mean_run < _SKIP_MIN_RUN else 0
+            stop = min(p + 1 + wait, total)
             b = _plain_steps(v, b, p, stop, *plain)
             p = stop
-            batch = _SKIP_CHUNK
-            backoff = min(2 * backoff, _SKIP_MAX_WAIT)
+        backoff = min(2 * backoff, _SKIP_MAX_WAIT) if wait else _SKIP_CHUNK
+        batch = min(max(int(2 * expected), _SKIP_CHUNK), _SKIP_MAX_CHUNK)
     return v, b
 
 

@@ -198,6 +198,12 @@ class TestDebiasCommand:
         (["--out", "."], "--out '.' is a directory"),
         (["--out", ""], "--out '' is a directory, is empty"),
         (["--out", "new/"], "--out 'new/' is a directory"),
+        # Every path written (--out, <out>.npz, <out>.meta.json) that resolves
+        # to a path read; an in-place debias is one.
+        (["--out", "emb.txt"], "output 'emb.txt' would overwrite input"),
+        (["--out", "./gender.txt"], "output './gender.txt' would overwrite input"),
+        (["--gender-list", "x.txt.npz"], "would overwrite input 'x.txt.npz'"),
+        (["--gender-list", "x.txt.meta.json"], "would overwrite input 'x.txt.meta.json'"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -214,6 +220,18 @@ class TestDebiasCommand:
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_in_place_through_a_symlink_exits_2(self, workdir, capsys):
+        # Paths are compared once every symlink in them is resolved.
+        link = workdir["dir"] / "link"
+        link.symlink_to(workdir["dir"], target_is_directory=True)
+        before = Path(workdir["emb"]).read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                  "--out", str(link / "emb.txt")])
+        assert excinfo.value.code == 2
+        assert "would overwrite input" in capsys.readouterr().err
+        assert Path(workdir["emb"]).read_bytes() == before
 
     def test_missing_input_exits_nonzero(self, workdir, capsys):
         code = main([
@@ -1044,6 +1062,18 @@ class TestEvalCommand:
         (["--out", "."], "--out '.' is a directory"),
         (["--out", ""], "--out '' is a directory, is empty"),
         (["--out", "new/"], "--out 'new/' is a directory"),
+        # A report (or the professions table next to it) over a file the run reads.
+        (["--out", "emb.txt"], "output 'emb.txt' would overwrite input"),
+        (["--metrics", "direction", "--gender-list", "gender.txt", "--out", "gender.txt"],
+         "output 'gender.txt' would overwrite input 'gender.txt'"),
+        (["--original-embeddings", "usage.json"], "would overwrite input 'usage.json'"),
+        (["--wordsim", "a=usage.json"], "would overwrite input 'usage.json'"),
+        (["--sts", "a=./usage.json"], "would overwrite input './usage.json'"),
+        (["--weat", "usage.json"], "would overwrite input 'usage.json'"),
+        (["--sembias", "usage.json"], "would overwrite input 'usage.json'"),
+        (["--metrics", "relation", "--gender-list", "gender.txt",
+          "--professions", "usage.professions.tsv"],
+         "would overwrite input 'usage.professions.tsv'"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -1151,6 +1181,21 @@ class TestCompareCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--out '' is a directory, is empty" in err
+
+    def test_out_over_a_report_exits_2_before_reading(self, tmp_path, monkeypatch, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.make_report(a, "m1", {"projection_bias": 0.5})
+        self.make_report(b, "m2", {"projection_bias": 0.25})
+        before = b.read_bytes()
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", str(a), str(b), "--out", "../b.json"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"output '../b.json' would overwrite input {str(b)!r}" in err
+        assert b.read_bytes() == before
 
     def test_column_order_follows_arguments(self, tmp_path, capsys):
         paths = []
@@ -1278,3 +1323,41 @@ def test_set_operations_load_no_numpy_ma():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _numpy_blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
+@pytest.mark.skipif(not _numpy_blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("method", ["hsr", "hard"])
+def test_debias_bytes_repeat_per_blas_thread_count(tmp_path, method):
+    # The README's promise: runs repeat byte for byte under one BLAS thread
+    # count, and values may move in the last bit between counts. 300
+    # dimensions are enough for OpenBLAS to split the products.
+    planted = build_planted(n_neutral=2000, dim=300, n_definition=10, seed=3)
+    emb, gender = tmp_path / "emb.txt", tmp_path / "gender.txt"
+    write_embedding_file(emb, planted.embeddings)
+    gender.write_text("\n".join(planted.gender_list) + "\n")
+    src = str(Path(fairvec.__file__).resolve().parent.parent)
+    vectors = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        written = []
+        for run in range(2):
+            out = tmp_path / f"{threads}-{run}.txt"
+            subprocess.run([sys.executable, "-m", "fairvec.cli", "debias", "--embeddings",
+                            str(emb), "--gender-list", str(gender), "--method", method,
+                            "--out", str(out)], env=env, timeout=300, check=True)
+            written.append([Path(f"{out}{suffix}").read_bytes()
+                            for suffix in ("", ".npz", ".meta.json")])
+        assert written[0] == written[1], f"OPENBLAS_NUM_THREADS={threads}"
+        vectors[threads] = load_embeddings(out).vectors
+    np.testing.assert_allclose(vectors["1"], vectors["2"], rtol=1e-14, atol=1e-14)

@@ -59,15 +59,21 @@ def test_no_unreferenced_private_module_names():
 
 
 def test_readme_command_lines_parse(tmp_path, monkeypatch):
-    # Every fenced README block that starts with "fairvec " is a command line
-    # the CLI must accept as written: a renamed or dropped option fails here.
+    # Every fenced README block that starts with "fairvec ", and the part after
+    # "--" of one that runs the span runner, is a command line the CLI must
+    # accept as written: a renamed or dropped option fails here.
     from fairvec import cli
 
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
                         re.MULTILINE | re.DOTALL)
-    commands = [shlex.split(block.replace("\\\n", " "))[1:]
-                for block in blocks if block.startswith("fairvec ")]
+    commands, traced = [], 0
+    for block in blocks:
+        if block.startswith(("fairvec ", "python3 perfbench/spans.py ")):
+            words = shlex.split(block.replace("\\\n", " "))
+            traced += words[0] == "python3"
+            commands.append(words[words.index("--") + 1:] if words[0] == "python3" else words[1:])
     assert {argv[0] for argv in commands} == {"debias", "eval", "compare"}
+    assert traced
 
     def no_reading(*args, **kwargs):
         raise AssertionError("a file was read")

@@ -12,8 +12,9 @@ seed+100+i). Output files are written atomically via a temp file and rename.
 `debias` also writes `<out>.npz`, binary copies of `<out>` and, without
 --vocab-cap, of its input, each keyed by the sha256 of the text it was made
 for and serving any file with those bytes. A command hashes its embedding
-files first, opens each one's copy once in argument order (`eval`:
---embeddings first), and parses only the text that no copy holds.
+files in threads, opens each one's copy once in argument order (`eval`:
+--embeddings first; the first while the hashes run), and parses only the
+text that no copy holds, once every hash is done.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 from . import bias_metrics, quality_eval
@@ -33,6 +35,7 @@ from .embedding_store import (
     EmbeddingSet,
     _load_binary,
     _save_binary,
+    _usable_cpus,
     load_embeddings,
     load_word_list,
     partition,
@@ -46,9 +49,10 @@ WEAT_SEED_OFFSET = 100
 
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
+    buffer = memoryview(bytearray(1 << 20))
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+        while count := handle.readinto(buffer):
+            digest.update(buffer[:count])
     return digest.hexdigest()
 
 
@@ -106,23 +110,53 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_embedding_files(paths: list[str], cap: int | None) -> list[tuple[EmbeddingSet, dict]]:
     """Each embedding file with its provenance record, in argument order.
 
-    Every distinct file is hashed once, before any is loaded. A set that
-    `debias` stored in a `<file>.npz` copy for exactly those bytes is read
-    instead of the text: each file's copy is opened once, in argument order,
-    and asked for every digest not yet served. What no copy holds is parsed
-    from its text, once per distinct digest.
+    Every distinct file is hashed once, in worker threads, at most one per
+    usable CPU; all are joined before this returns or parses any text, and a
+    file that cannot be hashed raises, the first in argument order. A set
+    that `debias` stored in a `<file>.npz` copy for exactly those bytes is
+    read instead of the text: each file's copy is opened once, in argument
+    order, and asked for every digest not yet served; the first is read
+    while the hashes run. What no copy holds is parsed from its text, once
+    per distinct digest.
     """
-    hashed: dict[str, str] = {}  # absolute path -> sha256
-    records = []
+    first = {}  # absolute path -> the path as first given, which error messages name
     for path in paths:
-        key = os.path.abspath(path)
-        if key not in hashed:
-            hashed[key] = _sha256(path)
-        records.append({"path": path, "sha256": hashed[key]})
+        first.setdefault(os.path.abspath(path), path)
+    keys = list(first)
+    hashed: list = [None] * len(keys)  # the sha256 of each key, or what hashing it raised
+    count = min(len(keys), _usable_cpus())
+
+    def hash_keys(start: int) -> None:
+        # Workers only open, read and hash: the benchmark's tracer is not thread-safe.
+        for i in range(start, len(keys), count):
+            try:
+                hashed[i] = _sha256(first[keys[i]])
+            except Exception as exc:  # raised by the caller once every worker is joined
+                hashed[i] = exc
+
+    workers = [threading.Thread(target=hash_keys, args=(i,)) for i in range(count)]
     sets: dict[str, EmbeddingSet] = {}
-    for key in hashed:
-        wanted = set(hashed.values()) - sets.keys()
-        sets.update(_load_binary(key + ".npz", wanted, cap) if wanted else {})
+
+    def wanted() -> set[str]:
+        for worker in workers:
+            worker.join()
+        return {d for d in hashed if isinstance(d, str)} - sets.keys()
+
+    try:
+        for worker in workers:
+            worker.start()
+        # The first copy reads ahead one entry per distinct file while it waits.
+        sets.update(_load_binary(keys[0] + ".npz", wanted, cap, len(keys)))
+        for key in keys[1:]:
+            if rest := wanted():
+                sets.update(_load_binary(key + ".npz", rest, cap))
+    finally:
+        wanted()  # joins every worker
+    for digest in hashed:
+        if isinstance(digest, Exception):
+            raise digest
+    digests = dict(zip(keys, hashed))
+    records = [{"path": path, "sha256": digests[os.path.abspath(path)]} for path in paths]
     for record in records:
         if record["sha256"] not in sets:
             # A handle, not the path: the benchmark's tracer sizes the load by its name.
@@ -518,9 +552,11 @@ def _usage_error(args: argparse.Namespace) -> str | None:
     reads = args.reports if args.command == "compare" else [args.embeddings, args.gender_list]
     if args.command == "debias":
         writes += [args.out + ".npz", args.out + ".meta.json"]
+        reads.append(args.embeddings + ".npz")  # each embedding file's load reads its copy
     if args.command == "eval":
         reads += [args.original_embeddings, args.sembias, args.professions, *args.weat,
-                  *(path for _, path in args.wordsim + args.sts)]
+                  *(path for _, path in args.wordsim + args.sts),
+                  *(path + ".npz" for path in (args.embeddings, args.original_embeddings) if path)]
         if args.metrics == "relation" and args.professions:
             writes.append(str(Path(args.out).with_suffix(".professions.tsv")))
     inputs = {os.path.realpath(path): path for path in reads if path}

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import shutil
 import signal
+import struct
 import tempfile
 import threading
 import zipfile
+import zlib
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -403,16 +406,20 @@ def _write_range(embeddings: EmbeddingSet, start: int, stop: int, sink: IO[str])
         sink.write("".join(rows))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; one where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _writers(blocks: int) -> int:
     """Processes that format a save of `blocks` write blocks: one per usable
     CPU, each with at least two blocks. One, the calling process alone, where
-    the platform cannot fork or report its usable CPUs, or where another
-    Python thread is alive, since a forked child holds only the calling
-    thread and any lock another one held stays locked there."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+    the platform cannot fork, or where another Python thread is alive, since
+    a forked child holds only the calling thread and any lock another one
+    held stays locked there."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), blocks // 2))
+    return max(1, min(_usable_cpus(), blocks // 2))
 
 
 def _fork_writer(embeddings: EmbeddingSet, start: int, stop: int, spool: IO[str]) -> int:
@@ -497,25 +504,76 @@ def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes],
              words=np.frombuffer(words, dtype=np.uint8), vectors=embeddings.vectors, **entries)
 
 
-def _load_binary(path: str, digests: set[str],
-                 max_words: int | None = None) -> dict[str, EmbeddingSet]:
+# The .npy header readers by format version; np.savez writes 1.0, or 2.0
+# for a header longer than 64 KiB.
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_member(handle: IO[bytes], member: zipfile.ZipInfo) -> np.ndarray:
+    """The array in `member`, an uncompressed .npy file inside the zip
+    archive open as `handle`, read straight into the array's own buffer.
+
+    ValueError when the member is compressed, its local header is not one,
+    its .npy header is not one np.save writes for a plain dtype, or the
+    bytes disagree with the archive's directory: header and data must fill
+    the member's size exactly, and their CRC-32 must be the member's.
+    """
+    handle.seek(member.header_offset)
+    local = handle.read(30)
+    if member.compress_type != zipfile.ZIP_STORED or local[:4] != b"PK\x03\x04":
+        raise ValueError(f"{member.filename}: not a stored zip member")
+    start = member.header_offset + 30 + sum(struct.unpack("<HH", local[26:30]))
+    handle.seek(start)
+    shape, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(handle)](handle)
+    size = handle.tell() - start
+    if dtype.hasobject or size + math.prod(shape) * dtype.itemsize != member.file_size:
+        raise ValueError(f"{member.filename}: header does not match the stored size")
+    handle.seek(start)
+    crc = zlib.crc32(handle.read(size))
+    # A Fortran-ordered array is the transpose of a C-ordered one.
+    array = np.empty(shape[::-1] if fortran_order else shape, dtype)
+    data = array.reshape(-1).view(np.uint8)
+    if handle.readinto(data) != data.size or zlib.crc32(data, crc) != member.CRC:
+        raise ValueError(f"{member.filename}: truncated, or its CRC-32 does not match")
+    return array.T if fortran_order else array
+
+
+def _load_binary(path: str, digests: set[str] | Callable[[], set[str]],
+                 max_words: int | None = None, read_ahead: int = 0) -> dict[str, EmbeddingSet]:
     """The sets that _save_binary wrote to `path`, its own and its source,
     keyed by the digest of the text each was written for, for the digests
     in `digests`.
 
+    `digests` may instead be a function that returns them, which may wait
+    for them: it is called once the stored digests are read, and the
+    matrices of the first `read_ahead` entries are read before it, so that
+    reading overlaps the wait. A matrix read ahead for a digest not asked
+    for is dropped.
+
     An entry is left out, so that the caller parses the text instead, when
-    the archive is missing or unreadable, or the entry was written for other
-    text, is not shaped as _save_binary writes it, repeats a word, or fails
-    EmbeddingSet's validation. Like the text loader, `max_words` keeps the
-    first rows. The words are decoded and indexed once, for every entry;
-    each set takes over its matrix, and only a capped load copies rows.
+    the archive is missing or unreadable, a member fails _read_member's
+    checks, or the entry was written for other text, is not shaped as
+    _save_binary writes it, repeats a word, or fails EmbeddingSet's
+    validation. Like the text loader, `max_words` keeps the first rows. The
+    words are decoded and indexed once, for every entry; each set takes over
+    its matrix, and only a capped load copies rows.
     """
     try:
-        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
-            stored = [(archive[e + "sha256"].item(), e) for e in ("", "input_")
-                      if e + "sha256" in archive]
-            found = [(digest, archive[e + "vectors"]) for digest, e in stored if digest in digests]
-            rows = archive["words"].tobytes().decode("utf-8").split("\n") if found else []
+        with open(path, "rb") as handle:
+            members = {member.filename: member for member in zipfile.ZipFile(handle).infolist()}
+
+            def read(name: str) -> np.ndarray:
+                return _read_member(handle, members[name + ".npy"])
+
+            stored = [(read(e + "sha256").item(), e) for e in ("", "input_")
+                      if e + "sha256.npy" in members]
+            early = {e: read(e + "vectors") for _, e in stored[:read_ahead]}
+            wanted = digests() if callable(digests) else digests
+            found = [(digest, early.pop(e) if e in early else read(e + "vectors"))
+                     for digest, e in stored if digest in wanted]
+            early.clear()
+            rows = read("words").tobytes().decode("utf-8").split("\n") if found else []
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
         return {}
     words = tuple(rows[:max_words])

@@ -13,7 +13,10 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +207,8 @@ class TestDebiasCommand:
         (["--out", "./gender.txt"], "output './gender.txt' would overwrite input"),
         (["--gender-list", "x.txt.npz"], "would overwrite input 'x.txt.npz'"),
         (["--gender-list", "x.txt.meta.json"], "would overwrite input 'x.txt.meta.json'"),
+        # The load of --embeddings reads its binary copy too.
+        (["--out", "emb.txt.npz"], "output 'emb.txt.npz' would overwrite input"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -677,6 +682,78 @@ class TestBinaryCopy:
         assert np.array_equal(loaded.vectors, vectors)
         assert peak < 1.5 * vectors.nbytes
 
+    @pytest.mark.parametrize("damage", ["crc", "compressed", "more-rows"])
+    def test_archive_failing_a_member_check_ignored(self, workdir, text_parses, damage):
+        # Members are read straight from the zip directory's offsets, so the
+        # directory's CRC-32 and size are the checks on what was read.
+        hsr = self.debias(workdir, "hsr.txt")
+        copy = Path(hsr + ".npz")
+        with np.load(copy) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        if damage == "crc":
+            data = bytearray(copy.read_bytes())
+            data[data.index(entries["vectors"].tobytes()) + 8 * 7] ^= 0x01
+            copy.write_bytes(bytes(data))
+        elif damage == "compressed":  # debias never writes one
+            np.savez_compressed(copy, **entries)
+        else:  # a consistent zip whose vectors header claims one row more than it holds
+            with zipfile.ZipFile(copy, "w") as archive:
+                for key, value in entries.items():
+                    member = io.BytesIO()
+                    if key == "vectors":
+                        np.lib.format.write_array_header_1_0(member, {
+                            "descr": "<f8", "fortran_order": False,
+                            "shape": (len(value) + 1, value.shape[1])})
+                        member.write(value.tobytes())
+                    else:
+                        np.save(member, value)
+                    archive.writestr(key + ".npy", member.getvalue())
+        with_copy = self.eval_outputs(workdir, hsr, "direction")
+        assert text_parses == ["emb.txt", "hsr.txt", "emb.txt"]
+        copy.unlink()
+        assert self.eval_outputs(workdir, hsr, "direction") == with_copy
+
+
+class TestLoadThreads:
+    """Embedding files are hashed in worker threads, all joined before the load ends."""
+
+    @pytest.mark.parametrize("case", ["success", "missing", "damaged"])
+    def test_no_thread_outlives_the_load(self, workdir, monkeypatch, case):
+        hsr = str(workdir["dir"] / "hsr.txt")
+        assert main(["debias", "--embeddings", workdir["emb"],
+                     "--gender-list", workdir["gender"], "--out", hsr]) == 0
+        paths = [hsr, workdir["emb"]]
+        if case == "missing":
+            paths[1] = str(workdir["dir"] / "nosuch.txt")
+        elif case == "damaged":  # one file, so no later copy's wait joins the worker
+            Path(hsr + ".npz").write_bytes(b"not an archive\n" * 8)
+            paths = [hsr]
+        on_main = []
+        real_sha256 = fairvec.cli._sha256
+
+        def recording_sha256(path):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            time.sleep(0.05)  # still hashing when the archive read ends
+            return real_sha256(path)
+
+        monkeypatch.setattr(fairvec.cli, "_sha256", recording_sha256)
+        before = threading.active_count()
+        if case == "missing":
+            with pytest.raises(FileNotFoundError, match="nosuch.txt"):
+                fairvec.cli._load_embedding_files(paths, None)
+        else:
+            loaded = fairvec.cli._load_embedding_files(paths, None)
+            assert [record["path"] for _, record in loaded] == paths
+        assert threading.active_count() == before
+        assert on_main == [False] * len(paths)
+
+    def test_debias_forks_its_writers_after_the_hash(self, workdir, forks):
+        # _writers forks only while no other thread is alive.
+        assert main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                     "--out", str(workdir["dir"] / "forked.txt")]) == 0
+        assert forks
+        assert_no_child_left()
+
 
 class TestEvalCommand:
     def run_eval(self, workdir, metrics, out, extra=(), embeddings=None):
@@ -1074,6 +1151,10 @@ class TestEvalCommand:
         (["--metrics", "relation", "--gender-list", "gender.txt",
           "--professions", "usage.professions.tsv"],
          "would overwrite input 'usage.professions.tsv'"),
+        # The binary copy <file>.npz that the load of each embedding file reads.
+        (["--out", "emb.txt.npz"], "output 'emb.txt.npz' would overwrite input"),
+        (["--original-embeddings", "orig.txt", "--out", "./orig.txt.npz"],
+         "output './orig.txt.npz' would overwrite input 'orig.txt.npz'"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -1130,6 +1211,20 @@ class TestEvalCommand:
         assert provenance["original_embeddings"] == {
             "path": extra[1] if extra else workdir["emb"], "sha256": expected,
         }
+
+    def test_missing_original_exits_2_before_any_parse(self, workdir, text_parses, capsys):
+        # Every file is hashed before any text is parsed; a hashing error names
+        # the first failing file in argument order.
+        out = workdir["dir"] / "missing.json"
+        original, gone = (str(workdir["dir"] / name) for name in ("nosuch.txt", "gone.txt"))
+        for embeddings, named in ((workdir["emb"], original), (gone, gone)):
+            assert main(["eval", "--embeddings", embeddings, "--original-embeddings", original,
+                         "--gender-list", workdir["gender"], "--metrics", "direction",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: [Errno 2] No such file or directory: {named!r}\n")
+        assert text_parses == []
+        assert not out.exists()
 
     def test_default_label_is_file_stem(self, workdir):
         out = str(workdir["dir"] / "lbl.json")

@@ -12,9 +12,9 @@ seed+100+i). Output files are written atomically via a temp file and rename.
 `debias` also writes `<out>.npz`, binary copies of `<out>` and, without
 --vocab-cap, of its input, each keyed by the sha256 of the text it was made
 for and serving any file with those bytes. A command hashes its embedding
-files in threads, opens each one's copy once in argument order (`eval`:
---embeddings first; the first while the hashes run), and parses only the
-text that no copy holds, once every hash is done.
+files in threads, one per file, opens each one's copy once in argument
+order (`eval`: --embeddings first; the first while the hashes run), and
+parses only the text that no copy holds, once every hash is done.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .embedding_store import (
     EmbeddingSet,
     _load_binary,
     _save_binary,
-    _usable_cpus,
     load_embeddings,
     load_word_list,
     partition,
@@ -110,31 +109,29 @@ def _write_json(path: str, payload: dict) -> None:
 def _load_embedding_files(paths: list[str], cap: int | None) -> list[tuple[EmbeddingSet, dict]]:
     """Each embedding file with its provenance record, in argument order.
 
-    Every distinct file is hashed once, in worker threads, at most one per
-    usable CPU; all are joined before this returns or parses any text, and a
-    file that cannot be hashed raises, the first in argument order. A set
-    that `debias` stored in a `<file>.npz` copy for exactly those bytes is
-    read instead of the text: each file's copy is opened once, in argument
-    order, and asked for every digest not yet served; the first is read
-    while the hashes run. What no copy holds is parsed from its text, once
-    per distinct digest.
+    Every distinct file is hashed once, in a worker thread of its own; all
+    are joined before this returns or parses any text, and a file that
+    cannot be hashed raises, the first in argument order. A set that
+    `debias` stored in a `<file>.npz` copy for exactly those bytes is read
+    instead of the text: each file's copy is opened once, in argument order,
+    and asked for every digest not yet served; the first is read while the
+    hashes run. What no copy holds is parsed from its text, once per
+    distinct digest.
     """
     first = {}  # absolute path -> the path as first given, which error messages name
     for path in paths:
         first.setdefault(os.path.abspath(path), path)
     keys = list(first)
     hashed: list = [None] * len(keys)  # the sha256 of each key, or what hashing it raised
-    count = min(len(keys), _usable_cpus())
 
-    def hash_keys(start: int) -> None:
+    def hash_key(i: int) -> None:
         # Workers only open, read and hash: the benchmark's tracer is not thread-safe.
-        for i in range(start, len(keys), count):
-            try:
-                hashed[i] = _sha256(first[keys[i]])
-            except Exception as exc:  # raised by the caller once every worker is joined
-                hashed[i] = exc
+        try:
+            hashed[i] = _sha256(first[keys[i]])
+        except Exception as exc:  # raised by the caller once every worker is joined
+            hashed[i] = exc
 
-    workers = [threading.Thread(target=hash_keys, args=(i,)) for i in range(count)]
+    workers = [threading.Thread(target=hash_key, args=(i,)) for i in range(len(keys))]
     sets: dict[str, EmbeddingSet] = {}
 
     def wanted() -> set[str]:

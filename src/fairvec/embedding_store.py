@@ -406,20 +406,16 @@ def _write_range(embeddings: EmbeddingSet, start: int, stop: int, sink: IO[str])
         sink.write("".join(rows))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; one where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _writers(blocks: int) -> int:
     """Processes that format a save of `blocks` write blocks: one per usable
     CPU, each with at least two blocks. One, the calling process alone, where
-    the platform cannot fork, or where another Python thread is alive, since
-    a forked child holds only the calling thread and any lock another one
-    held stays locked there."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    the platform cannot fork or report its usable CPUs, or where another
+    Python thread is alive, since a forked child holds only the calling
+    thread and any lock another one held stays locked there."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
         return 1
-    return max(1, min(_usable_cpus(), blocks // 2))
+    return max(1, min(len(os.sched_getaffinity(0)), blocks // 2))
 
 
 def _fork_writer(embeddings: EmbeddingSet, start: int, stop: int, spool: IO[str]) -> int:
@@ -504,20 +500,14 @@ def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes],
              words=np.frombuffer(words, dtype=np.uint8), vectors=embeddings.vectors, **entries)
 
 
-# The .npy header readers by format version; np.savez writes 1.0, or 2.0
-# for a header longer than 64 KiB.
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def _read_member(handle: IO[bytes], member: zipfile.ZipInfo) -> np.ndarray:
     """The array in `member`, an uncompressed .npy file inside the zip
     archive open as `handle`, read straight into the array's own buffer.
 
     ValueError when the member is compressed, its local header is not one,
-    its .npy header is not one np.save writes for a plain dtype, or the
-    bytes disagree with the archive's directory: header and data must fill
-    the member's size exactly, and their CRC-32 must be the member's.
+    its .npy header is not a version 1.0 one for a C-order plain dtype, or
+    the bytes disagree with the archive's directory: header and data must
+    fill the member's size exactly, and their CRC-32 must be the member's.
     """
     handle.seek(member.header_offset)
     local = handle.read(30)
@@ -525,18 +515,20 @@ def _read_member(handle: IO[bytes], member: zipfile.ZipInfo) -> np.ndarray:
         raise ValueError(f"{member.filename}: not a stored zip member")
     start = member.header_offset + 30 + sum(struct.unpack("<HH", local[26:30]))
     handle.seek(start)
-    shape, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(handle)](handle)
+    if np.lib.format.read_magic(handle) != (1, 0):
+        raise ValueError(f"{member.filename}: not a version 1.0 .npy header")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
     size = handle.tell() - start
-    if dtype.hasobject or size + math.prod(shape) * dtype.itemsize != member.file_size:
-        raise ValueError(f"{member.filename}: header does not match the stored size")
+    if (fortran_order or dtype.hasobject
+            or size + math.prod(shape) * dtype.itemsize != member.file_size):
+        raise ValueError(f"{member.filename}: not a C-order array of the stored size")
     handle.seek(start)
     crc = zlib.crc32(handle.read(size))
-    # A Fortran-ordered array is the transpose of a C-ordered one.
-    array = np.empty(shape[::-1] if fortran_order else shape, dtype)
+    array = np.empty(shape, dtype)
     data = array.reshape(-1).view(np.uint8)
     if handle.readinto(data) != data.size or zlib.crc32(data, crc) != member.CRC:
         raise ValueError(f"{member.filename}: truncated, or its CRC-32 does not match")
-    return array.T if fortran_order else array
+    return array
 
 
 def _load_binary(path: str, digests: set[str] | Callable[[], set[str]],
@@ -581,7 +573,7 @@ def _load_binary(path: str, digests: set[str] | Callable[[], set[str]],
     sets: dict[str, EmbeddingSet] = {}
     for digest, vectors in found:
         if (len(index) == len(words) and vectors.dtype == np.float64 and vectors.ndim == 2
-                and vectors.flags.c_contiguous and len(vectors) == len(rows)):
+                and len(vectors) == len(rows)):
             with contextlib.suppress(InputError):
                 sets[digest] = EmbeddingSet._owning(
                     words, vectors[:len(words)].copy() if len(words) < len(rows) else vectors,

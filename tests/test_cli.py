@@ -481,6 +481,25 @@ class TestBinaryCopy:
         assert original is not embeddings
         assert original.words is embeddings.words
 
+    def test_original_served_by_its_own_copy(self, workdir, text_parses, monkeypatch):
+        # hard.txt.npz holds hard.txt and emb.txt, so hsr.txt comes from hsr.txt.npz.
+        hsr = self.debias(workdir, "hsr.txt")
+        hard = self.debias(workdir, "hard.txt", extra=["--method", "hard"])
+        reads = []
+        real_load_binary = fairvec.cli._load_binary
+
+        def counting_load_binary(path, *args):
+            reads.append(os.path.basename(path))
+            return real_load_binary(path, *args)
+
+        monkeypatch.setattr(fairvec.cli, "_load_binary", counting_load_binary)
+        with_copies = self.eval_outputs(workdir, hard, "direction", original=hsr)
+        assert text_parses == ["emb.txt", "emb.txt"]  # the two debias runs alone
+        assert reads == ["hard.txt.npz", "hsr.txt.npz"]
+        for copy in workdir["dir"].glob("*.npz"):
+            copy.unlink()
+        assert self.eval_outputs(workdir, hard, "direction", original=hsr) == with_copies
+
     @pytest.mark.parametrize("cap", [[], ["--vocab-cap", "58"]], ids=["full", "capped"])
     @pytest.mark.parametrize("original", ["absent", "same", "input"])
     @pytest.mark.parametrize("source", ["fresh", "stale", "absent"])
@@ -682,7 +701,7 @@ class TestBinaryCopy:
         assert np.array_equal(loaded.vectors, vectors)
         assert peak < 1.5 * vectors.nbytes
 
-    @pytest.mark.parametrize("damage", ["crc", "compressed", "more-rows"])
+    @pytest.mark.parametrize("damage", ["crc", "compressed", "more-rows", "fortran", "npy-2.0"])
     def test_archive_failing_a_member_check_ignored(self, workdir, text_parses, damage):
         # Members are read straight from the zip directory's offsets, so the
         # directory's CRC-32 and size are the checks on what was read.
@@ -696,17 +715,21 @@ class TestBinaryCopy:
             copy.write_bytes(bytes(data))
         elif damage == "compressed":  # debias never writes one
             np.savez_compressed(copy, **entries)
-        else:  # a consistent zip whose vectors header claims one row more than it holds
+        elif damage == "fortran":  # nor a Fortran-order member
+            np.savez(copy, **{**entries, "vectors": np.asfortranarray(entries["vectors"])})
+        else:  # a consistent zip whose vectors member is not as debias writes it
             with zipfile.ZipFile(copy, "w") as archive:
                 for key, value in entries.items():
                     member = io.BytesIO()
-                    if key == "vectors":
+                    if key != "vectors":
+                        np.save(member, value)
+                    elif damage == "npy-2.0":
+                        np.lib.format.write_array(member, value, version=(2, 0))
+                    else:  # its header claims one row more than it holds
                         np.lib.format.write_array_header_1_0(member, {
                             "descr": "<f8", "fortran_order": False,
                             "shape": (len(value) + 1, value.shape[1])})
                         member.write(value.tobytes())
-                    else:
-                        np.save(member, value)
                     archive.writestr(key + ".npy", member.getvalue())
         with_copy = self.eval_outputs(workdir, hsr, "direction")
         assert text_parses == ["emb.txt", "hsr.txt", "emb.txt"]
@@ -746,6 +769,25 @@ class TestLoadThreads:
             assert [record["path"] for _, record in loaded] == paths
         assert threading.active_count() == before
         assert on_main == [False] * len(paths)
+
+    def test_one_cpu_still_hashes_each_file_on_its_own_thread(self, workdir, monkeypatch):
+        hsr = str(workdir["dir"] / "hsr.txt")
+        assert main(["debias", "--embeddings", workdir["emb"],
+                     "--gender-list", workdir["gender"], "--out", hsr]) == 0
+        threads = []
+        real_sha256 = fairvec.cli._sha256
+
+        def recording_sha256(path):
+            threads.append(threading.current_thread())
+            return real_sha256(path)
+
+        monkeypatch.setattr(fairvec.cli, "_sha256", recording_sha256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        fairvec.cli._load_embedding_files([hsr, workdir["emb"]], None)
+        assert threading.active_count() == before
+        assert len(set(threads)) == len(threads) == 2
+        assert threading.main_thread() not in threads
 
     def test_debias_forks_its_writers_after_the_hash(self, workdir, forks):
         # _writers forks only while no other thread is alive.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -73,8 +74,8 @@ class _DigestFile(io.FileIO):
 
 
 @contextlib.contextmanager
-def _atomic_output(path: str, binary: bool = False, digest=None):
-    """Text (or binary) handle on a temp file that replaces `path` when the block exits.
+def _atomic_output(path: str, digest=None):
+    """Binary handle on a temp file that replaces `path` when the block exits.
 
     The temp file is made as open() makes one (0666 through the umask or the
     directory's default ACL), never over another file, and removed on error,
@@ -84,11 +85,8 @@ def _atomic_output(path: str, binary: bool = False, digest=None):
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        handle = io.BufferedWriter(io.FileIO(fd, "wb") if digest is None
-                                   else _DigestFile(fd, digest))
-        if not binary:
-            handle = io.TextIOWrapper(handle, encoding="utf-8")
-        with handle:
+        with io.BufferedWriter(io.FileIO(fd, "wb") if digest is None
+                               else _DigestFile(fd, digest)) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -99,7 +97,7 @@ def _atomic_output(path: str, binary: bool = False, digest=None):
 
 def _atomic_write(path: str, text: str) -> None:
     with _atomic_output(path) as handle:
-        handle.write(text)
+        handle.write(text.encode("utf-8"))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -255,12 +253,12 @@ def cmd_debias(args: argparse.Namespace) -> int:
     result = (hsr_debias if args.method == "hsr" else hard_debias)(embeddings, config)
 
     digest = hashlib.sha256()
-    with _atomic_output(args.out, digest=digest) as handle:
+    with _atomic_output(args.out, digest=digest) as raw, io.TextIOWrapper(raw, "utf-8") as handle:
         save_embeddings(result.embeddings, handle)
     # Debias keeps the words and their order, so the input matrix can ride
     # along under the output's words; a capped input is not the hashed file's.
     source = (embeddings_record["sha256"], embeddings.vectors) if args.vocab_cap is None else None
-    with _atomic_output(args.out + ".npz", binary=True) as handle:
+    with _atomic_output(args.out + ".npz") as handle:
         _save_binary(result.embeddings, digest.hexdigest(), handle, source)
     sidecar = {
         "method": result.method,
@@ -332,16 +330,12 @@ def _eval_direction(args, embeddings, original, part, report: dict) -> None:
 
 
 def _eval_relation(args, embeddings, original, part, report: dict) -> None:
-    # The pool is selected once; each metric that needs it fails with its error.
-    try:
-        selected = bias_metrics.select_biased_words(original, part, args.top_biased)
-    except FairvecError as exc:
-        selected = FairvecError(f"biased-word selection failed: {exc}")
-
-    def lists():
-        if isinstance(selected, FairvecError):
-            raise selected
-        return selected
+    @functools.cache
+    def lists():  # selected once; a failed selection fails each metric that needs it
+        try:
+            return bias_metrics.select_biased_words(original, part, args.top_biased)
+        except FairvecError as exc:
+            raise FairvecError(f"biased-word selection failed: {exc}") from None
 
     _run(report, "gbwr_purity",
          lambda: bias_metrics.gbwr_clustering(embeddings, lists(), args.seed))
@@ -577,6 +571,10 @@ def _usage_error(args: argparse.Namespace) -> str | None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:  # every path, label and name may end up in a UTF-8 report, sidecar or table
+        if any("\ud800" <= c <= "\udfff" for c in arg):  # a lone surrogate has no UTF-8 form
+            parser.error(f"argument {arg!r} is not UTF-8")
     args = parser.parse_args(argv)
     problem = _usage_error(args)
     if problem:

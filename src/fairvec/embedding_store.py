@@ -511,7 +511,7 @@ def _read_member(handle: IO[bytes], member: zipfile.ZipInfo) -> np.ndarray:
     """
     handle.seek(member.header_offset)
     local = handle.read(30)
-    if member.compress_type != zipfile.ZIP_STORED or local[:4] != b"PK\x03\x04":
+    if member.compress_type != zipfile.ZIP_STORED or len(local) < 30 or local[:4] != b"PK\x03\x04":
         raise ValueError(f"{member.filename}: not a stored zip member")
     start = member.header_offset + 30 + sum(struct.unpack("<HH", local[26:30]))
     handle.seek(start)

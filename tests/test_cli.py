@@ -209,6 +209,8 @@ class TestDebiasCommand:
         (["--gender-list", "x.txt.meta.json"], "would overwrite input 'x.txt.meta.json'"),
         # The load of --embeddings reads its binary copy too.
         (["--out", "emb.txt.npz"], "output 'emb.txt.npz' would overwrite input"),
+        # Bytes that are not UTF-8 reach argv as lone surrogates (PEP 383).
+        (["--embeddings", "\udcff2.txt"], "argument '\\udcff2.txt' is not UTF-8"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):
@@ -701,7 +703,8 @@ class TestBinaryCopy:
         assert np.array_equal(loaded.vectors, vectors)
         assert peak < 1.5 * vectors.nbytes
 
-    @pytest.mark.parametrize("damage", ["crc", "compressed", "more-rows", "fortran", "npy-2.0"])
+    @pytest.mark.parametrize("damage", ["crc", "compressed", "more-rows", "fortran", "npy-2.0",
+                                        "short-local-header"])
     def test_archive_failing_a_member_check_ignored(self, workdir, text_parses, damage):
         # Members are read straight from the zip directory's offsets, so the
         # directory's CRC-32 and size are the checks on what was read.
@@ -717,6 +720,17 @@ class TestBinaryCopy:
             np.savez_compressed(copy, **entries)
         elif damage == "fortran":  # nor a Fortran-order member
             np.savez(copy, **{**entries, "vectors": np.asfortranarray(entries["vectors"])})
+        elif damage == "short-local-header":
+            # zipfile still lists a member whose local header offset points at
+            # the archive comment, 10 bytes that start with the header's magic.
+            data = bytearray(copy.read_bytes())
+            end = data.rindex(b"PK\x05\x06")
+            (directory,) = struct.unpack_from("<I", data, end + 16)
+            struct.pack_into("<I", data, directory + 42, end + 22)
+            struct.pack_into("<H", data, end + 20, 10)
+            copy.write_bytes(bytes(data) + b"PK\x03\x04" + bytes(6))
+            with zipfile.ZipFile(copy) as archive:
+                assert archive.infolist()[0].header_offset == end + 22
         else:  # a consistent zip whose vectors member is not as debias writes it
             with zipfile.ZipFile(copy, "w") as archive:
                 for key, value in entries.items():
@@ -1144,6 +1158,42 @@ class TestEvalCommand:
         assert not out.exists()
         assert not (workdir["dir"] / "latin.vec").exists()
 
+    @pytest.mark.parametrize("command, inputs", [
+        ("debias", "no-gender-word"), ("direction", "no-gender-word"),
+        ("relation", "no-gender-word"), ("hard", "without-he"),
+        ("debias", "malformed"), ("quality", "malformed"),
+    ])
+    def test_unusable_input_exits_2_and_writes_nothing(self, workdir, capsys, command, inputs):
+        message = {
+            "no-gender-word": "no gender-definition word is present in the vocabulary",
+            "without-he": "hard debiasing needs 'he' in the vocabulary",
+            "malformed": "line 3: expected 12 vector components, got 2",
+        }[inputs]
+        directory = workdir["dir"]
+        emb, gender = workdir["emb"], workdir["gender"]
+        lines = Path(emb).read_text(encoding="utf-8").splitlines(keepends=True)
+        if inputs == "no-gender-word":
+            gender = str(directory / "absent.txt")
+            Path(gender).write_text("nobody\nnoone\n", encoding="utf-8")
+        elif inputs == "without-he":
+            emb = str(directory / "nohe.txt")
+            Path(emb).write_text("".join(line for line in lines if not line.startswith("he ")),
+                                 encoding="utf-8")
+        else:
+            emb = str(directory / "bad.txt")
+            Path(emb).write_text("".join(lines[:2]) + "bad 1.0 2.0\n", encoding="utf-8")
+        if command in ("debias", "hard"):
+            argv = ["debias", "--embeddings", emb, "--gender-list", gender,
+                    "--method", "hard" if command == "hard" else "hsr",
+                    "--out", str(directory / "out.txt")]
+        else:
+            argv = ["eval", "--embeddings", emb, "--gender-list", gender, "--metrics", command,
+                    "--out", str(directory / "out.json")]
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+
     @pytest.mark.parametrize("metrics, extra, named", [
         ("direction", [], "--gender-list"),
         ("relation", [], "--gender-list"),
@@ -1197,6 +1247,9 @@ class TestEvalCommand:
         (["--out", "emb.txt.npz"], "output 'emb.txt.npz' would overwrite input"),
         (["--original-embeddings", "orig.txt", "--out", "./orig.txt.npz"],
          "output './orig.txt.npz' would overwrite input 'orig.txt.npz'"),
+        # Every path, label and name may end up in a UTF-8 report or table.
+        (["--label", "\udcfe"], "argument '\\udcfe' is not UTF-8"),
+        (["--wordsim", "\udcfftoy=pairs.tsv"], "argument '\\udcfftoy=pairs.tsv' is not UTF-8"),
     ])
     def test_bad_option_values_exit_2_before_reading(self, workdir, monkeypatch, capsys,
                                                     extra, named):

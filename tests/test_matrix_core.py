@@ -39,6 +39,10 @@ class TestSolveRidge:
         eye = np.eye(2)
         assert np.allclose(solve_ridge(eye, eye, 1.0).weights, 0.5 * eye, atol=1e-12)
 
+    def test_not_a_matrix(self):
+        with pytest.raises(InputError, match="A must be a 2-D matrix"):
+            solve_ridge(np.ones(3), np.eye(3), 1.0)
+
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(20, 5))

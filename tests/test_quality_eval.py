@@ -410,3 +410,7 @@ class TestLoaders:
             WordPairDataset(name="x", entries=(("a", "b", float("nan")),))
         with pytest.raises(InputError):
             SentencePairDataset(name="x", entries=((("a",), (), 1.0),))
+        with pytest.raises(InputError, match="sentence-pair dataset 'x' is empty"):
+            SentencePairDataset(name="x", entries=())
+        with pytest.raises(InputError, match="sentence-pair dataset 'x' has non-finite scores"):
+            SentencePairDataset(name="x", entries=((("a",), ("b",), float("inf")),))

@@ -85,6 +85,22 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch):
         assert cli._usage_error(args) is None, argv
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The python block under "Library", run as written on files it names.
+    from conftest import build_planted, write_embedding_file
+
+    [block] = re.findall(r"^## Library\n.*?^```python\n(.*?)^```",
+                         README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+    planted = build_planted(n_neutral=1200, dim=20, seed=0)  # 600 words a side; it asks 500
+    write_embedding_file(tmp_path / "vectors.txt", planted.embeddings)
+    (tmp_path / "gender_words.txt").write_text("\n".join(planted.gender_list) + "\n",
+                                               encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    [purity] = capsys.readouterr().out.split()
+    assert 0.5 <= float(purity) <= 1.0
+
+
 def test_a_failing_property_test_hides_no_other_result(tmp_path):
     # On a failure, hypothesis's pytest plugin imports libcst to suggest a
     # patch, and libcst raises a DeprecationWarning on import. Under the

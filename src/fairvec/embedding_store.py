@@ -406,38 +406,54 @@ def _write_range(embeddings: EmbeddingSet, start: int, stop: int, sink: IO[str])
         sink.write("".join(rows))
 
 
-def _writers(blocks: int) -> int:
-    """Processes that format a save of `blocks` write blocks: one per usable
-    CPU, each with at least two blocks. One, the calling process alone, where
-    the platform cannot fork or report its usable CPUs, or where another
-    Python thread is alive, since a forked child holds only the calling
-    thread and any lock another one held stays locked there."""
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), blocks // 2))
+def _in_ranges(work: Callable[[int, int, IO[str]], None], bounds: Sequence[int],
+               sink: IO[str]) -> None:
+    """Call work(start, stop, out) for each range bounds[i]:bounds[i + 1], so
+    that `sink` receives what the calls would write to it in order.
 
-
-def _fork_writer(embeddings: EmbeddingSet, start: int, stop: int, spool: IO[str]) -> int:
-    """Fork a process that writes rows start:stop to `spool` and exits; its pid.
-
-    The child shares the matrix with the caller copy-on-write. It leaves
-    through os._exit, so no finally block, context manager or atexit handler
-    of the caller's stack runs twice, and reports a failure on stderr and in
-    its exit status.
+    This process runs the first range into `sink`; a forked child runs each
+    later one into an unlinked temporary file, which this process copies to
+    `sink` in row order. A child leaves through os._exit, so no finally block
+    or atexit handler of the caller runs twice, and reports a failure on
+    stderr and in its exit status, which raises OSError here. Children are
+    reaped in row order, and killed first when this function raises. Where
+    the platform cannot fork, or another Python thread is alive (a child
+    would hold that thread's locks forever), this process calls work once,
+    over the union bounds[0]:bounds[-1], which must write what the ranges do.
     """
-    pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        _write_range(embeddings, start, stop, spool)
-        spool.flush()
-        code = 0
-    except BaseException as exc:  # the child ends here whatever was raised
-        os.write(2, f"fairvec: writing rows {start}-{stop} failed: {exc!r}\n".encode())
-    finally:
-        os._exit(code)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        bounds = [bounds[0], bounds[-1]]
+    children: list[tuple[int, IO[str]]] = []  # forked and not yet reaped, in row order
+    with contextlib.ExitStack() as spools:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                spool = spools.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                pid = os.fork()
+                if not pid:
+                    code = 1
+                    try:
+                        work(start, stop, spool)
+                        spool.flush()
+                        code = 0
+                    except BaseException as exc:  # the child ends here whatever was raised
+                        os.write(2, f"fairvec: writing rows {start}-{stop} failed: "
+                                    f"{exc!r}\n".encode())
+                    finally:
+                        os._exit(code)
+                children.append((pid, spool))
+            work(bounds[0], bounds[1], sink)
+            while children:
+                status = os.waitpid(children[0][0], 0)[1]
+                spool = children.pop(0)[1]
+                if status:
+                    raise OSError("a process formatting embedding rows failed "
+                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+                spool.seek(0)
+                shutil.copyfileobj(spool, sink, 1 << 20)
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
@@ -448,38 +464,17 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     "count dim" header is written only when the loader would take the first
     row for one. Rows are formatted and written in fixed blocks.
 
-    The blocks are split into contiguous ranges, one per process that
-    _writers allows. Each range after the first is formatted by a forked
-    child into an unlinked temporary file; this process writes the first
-    range to `sink` and then copies each child's text after it, in order, so
-    `sink` receives the same text as from one process. Children still
-    running when this function exits, by return or by raise, are killed;
-    every child is reaped, and a failed child raises OSError.
+    The blocks are split into contiguous ranges, one per usable CPU with at
+    least two blocks each, that _in_ranges writes in this process and in
+    forked children; every range but the last is whole blocks, so `sink`
+    receives the same text as from one process.
     """
     n, step = len(embeddings), _write_rows(embeddings.dim)
     blocks = -(-n // step)
-    count = _writers(blocks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    count = max(1, min(cpus, blocks // 2))
     bounds = [step * (blocks * i // count) for i in range(count)] + [n]
-    children: list[tuple[int, IO[str]]] = []  # forked and not yet reaped, in row order
-    with contextlib.ExitStack() as spools:
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                spool = spools.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                children.append((_fork_writer(embeddings, start, stop, spool), spool))
-            _write_range(embeddings, 0, bounds[1], sink)
-            while children:
-                pid, spool = children[0]
-                status = os.waitpid(pid, 0)[1]
-                del children[0]
-                if status:
-                    raise OSError("a process formatting embedding rows failed "
-                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
-                spool.seek(0)
-                shutil.copyfileobj(spool, sink, 1 << 20)
-        finally:
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    _in_ranges(lambda start, stop, out: _write_range(embeddings, start, stop, out), bounds, sink)
 
 
 def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes],
@@ -507,7 +502,7 @@ def _read_member(handle: IO[bytes], member: zipfile.ZipInfo) -> np.ndarray:
     ValueError when the member is compressed, its local header is not one,
     its .npy header is not a version 1.0 one for a C-order plain dtype, or
     the bytes disagree with the archive's directory: header and data must
-    fill the member's size exactly, and their CRC-32 must be the member's.
+    fill the member's size exactly, end inside the file and match its CRC-32.
     """
     handle.seek(member.header_offset)
     local = handle.read(30)
@@ -520,7 +515,8 @@ def _read_member(handle: IO[bytes], member: zipfile.ZipInfo) -> np.ndarray:
     shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
     size = handle.tell() - start
     if (fortran_order or dtype.hasobject
-            or size + math.prod(shape) * dtype.itemsize != member.file_size):
+            or size + math.prod(shape) * dtype.itemsize != member.file_size
+            or start + member.file_size > os.fstat(handle.fileno()).st_size):
         raise ValueError(f"{member.filename}: not a C-order array of the stored size")
     handle.seek(start)
     crc = zlib.crc32(handle.read(size))

@@ -704,7 +704,7 @@ class TestBinaryCopy:
         assert peak < 1.5 * vectors.nbytes
 
     @pytest.mark.parametrize("damage", ["crc", "compressed", "more-rows", "fortran", "npy-2.0",
-                                        "short-local-header"])
+                                        "short-local-header", "past-the-end"])
     def test_archive_failing_a_member_check_ignored(self, workdir, text_parses, damage):
         # Members are read straight from the zip directory's offsets, so the
         # directory's CRC-32 and size are the checks on what was read.
@@ -739,12 +739,21 @@ class TestBinaryCopy:
                         np.save(member, value)
                     elif damage == "npy-2.0":
                         np.lib.format.write_array(member, value, version=(2, 0))
+                    elif damage == "past-the-end":  # a header of 2**40 rows, and no row
+                        np.lib.format.write_array_header_1_0(member, {
+                            "descr": "<f8", "fortran_order": False, "shape": (2**40, 2)})
                     else:  # its header claims one row more than it holds
                         np.lib.format.write_array_header_1_0(member, {
                             "descr": "<f8", "fortran_order": False,
                             "shape": (len(value) + 1, value.shape[1])})
                         member.write(value.tobytes())
                     archive.writestr(key + ".npy", member.getvalue())
+                if damage == "past-the-end":  # zip64 directory sizes that agree with the header
+                    info = archive.getinfo("vectors.npy")
+                    info.file_size = info.compress_size = info.file_size + 16 * 2**40
+            if damage == "past-the-end":
+                with zipfile.ZipFile(copy) as archive:
+                    assert archive.getinfo("vectors.npy").file_size > copy.stat().st_size
         with_copy = self.eval_outputs(workdir, hsr, "direction")
         assert text_parses == ["emb.txt", "hsr.txt", "emb.txt"]
         copy.unlink()
@@ -804,7 +813,7 @@ class TestLoadThreads:
         assert threading.main_thread() not in threads
 
     def test_debias_forks_its_writers_after_the_hash(self, workdir, forks):
-        # _writers forks only while no other thread is alive.
+        # _in_ranges forks only while no other thread is alive.
         assert main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
                      "--out", str(workdir["dir"] / "forked.txt")]) == 0
         assert forks

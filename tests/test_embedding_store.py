@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import math
 import os
 import re
+import signal
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -502,6 +505,60 @@ class TestSaveFanOut:
         assert_no_child_left()
         if who == "child":
             assert "MemoryError('planted')" in capfd.readouterr().err
+
+    def test_a_child_killed_by_a_signal_raises_and_leaves_nothing(self, forks, monkeypatch,
+                                                                  tmp_path):
+        # As the kernel's out-of-memory killer would end a child at paper scale.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        parent = os.getpid()
+        real_text_rows = embedding_store._text_rows
+
+        def killed_in_children(words, vectors):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_text_rows(words, vectors)
+
+        monkeypatch.setattr(embedding_store, "_text_rows", killed_in_children)
+        block = embedding_store._write_rows(4)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(20 * block)),
+                                  np.ones((20 * block, 4)))
+        with pytest.raises(OSError, match=r"\(exit code -9\)$"):
+            saved_text(embeddings)
+        assert len(forks) == 3
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_a_failed_fork_raises_and_leaves_nothing(self, forks, monkeypatch, tmp_path,
+                                                     failing):
+        # Four CPUs: three forks, the `failing`-th of which raises.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        counting_fork, real_kill = os.fork, os.kill
+        children, killed = [], []
+
+        def fork():
+            if len(forks) + 1 == failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = counting_fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def recording_kill(pid, sig):
+            killed.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "kill", recording_kill)
+        block = embedding_store._write_rows(4)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(20 * block)),
+                                  np.ones((20 * block, 4)))
+        with pytest.raises(BlockingIOError):
+            saved_text(embeddings)
+        assert len(children) == failing - 1
+        assert killed == [(pid, signal.SIGKILL) for pid in children]
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_cpu_writes_in_this_process(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})

@@ -1,6 +1,7 @@
 """The benchmark's span tracer must find every function it wraps, the
-package keeps no private helper that nothing uses, the README's command
-lines parse, and the test configuration reports every result.
+package keeps no private helper that nothing uses and forks from one
+function only, the README's command lines parse, and the test configuration
+reports every result.
 
 perfbench/spans.py patches the functions it lists in TRACED by name; a
 refactor that drops or renames one would crash every traced benchmark run.
@@ -56,6 +57,33 @@ def test_no_unreferenced_private_module_names():
             if not any(name in read for statement, read in read_by if statement is not home)]
     assert defined
     assert dead == []
+
+
+def test_one_function_forks_reaps_and_kills():
+    # The rules for child processes (no fork beside another thread, a child
+    # that leaves without unwinding, every child reaped on every exit path)
+    # live in one function, which every forked stage of the package calls.
+    calls = {"fork", "waitpid", "kill", "_exit"}
+
+    def references(node, owner):
+        """(owner, name, line) of each use of a process call under `node`;
+        the owner is the outermost function around it, None outside any."""
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in calls
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield owner, node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from ((owner, alias.name, node.lineno) for alias in node.names
+                        if alias.name in calls)
+        for child in ast.iter_child_nodes(node):
+            yield from references(child, owner)
+
+    found = [(path.name, *reference) for path in sorted(PACKAGE.glob("*.py"))
+             for reference in references(ast.parse(path.read_text(encoding="utf-8")), None)]
+    owners = {(module, owner) for module, owner, _, _ in found}
+    assert {name for _, _, name, _ in found} == calls
+    assert len(owners) == 1 and None not in next(iter(owners)), found
 
 
 def test_readme_command_lines_parse(tmp_path, monkeypatch):

@@ -13,12 +13,16 @@ text file. The dataset loaders skip blank and comment lines through
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import io
 import itertools
 import math
+import mmap
 import os
 import shutil
 import signal
+import stat
 import struct
 import tempfile
 import threading
@@ -37,6 +41,10 @@ LineSource = Union[str, os.PathLike, Iterable[str]]
 # Rows per np.loadtxt call in load_embeddings: a load holds the matrix plus
 # about one block of text and parse buffers.
 _BLOCK_ROWS = 1024
+# Least bytes of text per range of a forked parse, about twice the break-even
+# measured on a 2-CPU machine: below about 1 MB a range's fork costs more
+# than it saves.
+_PARSE_BYTES = 1 << 21
 
 
 def _lines(source: LineSource) -> Iterator[str]:
@@ -222,6 +230,144 @@ def _parse_lines(block: list[str], first: int, dim: int, index: dict[str, int]) 
     return rows
 
 
+def _text_file(source: LineSource) -> int | None:
+    """A new descriptor of the file behind `source`, when it is a path or a
+    strict UTF-8 text handle at its start on a regular, non-empty file;
+    None for any other source, or one that cannot be opened."""
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, encoding="utf-8") as handle:
+                return _text_file(handle)
+        if (not isinstance(source, io.TextIOWrapper) or source.errors != "strict"
+                or codecs.lookup(source.encoding).name != "utf-8"):
+            return None
+        status = os.fstat(source.fileno())
+        if not stat.S_ISREG(status.st_mode) or not status.st_size or source.tell():
+            return None
+        return os.dup(source.fileno())
+    except (OSError, ValueError):
+        return None
+
+
+def _line_end(fd: int, start: int, stop: int) -> int:
+    """The offset just past the first line break at or after `start` in the
+    file's bytes start:stop, or `stop` when there is none."""
+    while start < stop and (chunk := os.pread(fd, min(1 << 16, stop - start), start)):
+        if (found := chunk.find(b"\n")) >= 0:
+            return start + found + 1
+        start += len(chunk)
+    return stop
+
+
+def _newlines(fd: int, start: int, stop: int) -> int:
+    """How many line breaks the file's bytes start:stop hold, read 256 KiB at
+    a time: larger buffers cost more in page faults than they save."""
+    chunk = np.empty(min(1 << 18, stop - start), np.uint8)
+    match = np.empty(chunk.size, bool)
+    count = 0
+    while start < stop and (read := os.preadv(fd, [chunk[:stop - start]], start)):
+        count += int(np.count_nonzero(np.equal(chunk[:read], ord("\n"), out=match[:read])))
+        start += read
+    return count
+
+
+def _file_lines(fd: int, start: int, stop: int) -> Iterator[str]:
+    """The lines of the file's bytes start:stop, which start at a line,
+    without their line breaks, read 64 KiB at a time, or as much as a long
+    line holds so far, so that its reads stay linear in its length.
+
+    ValueError at text that is not UTF-8 or holds a carriage return, which
+    the serial path reads as a line break.
+    """
+    carry = b""
+    while start < stop and (piece := os.pread(fd, min(max(1 << 16, len(carry)), stop - start),
+                                              start)):
+        start += len(piece)
+        piece = carry + piece
+        cut = len(piece) if start == stop else piece.rfind(b"\n") + 1
+        text, carry = piece[:cut].decode("utf-8"), piece[cut:]
+        if "\r" in text:
+            raise ValueError("a carriage return")
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        yield from lines
+
+
+def _parse_text(fd: int, start: int, stop: int, rows: np.ndarray) -> list[str] | None:
+    """The tokens of the lines in the file's bytes start:stop, which start at
+    a line, with their rows parsed into `rows` in blocks of _BLOCK_ROWS.
+
+    None when the lines are not one per row of `rows` (more lines than rows
+    fail to broadcast), or are ones that _file_lines or _parse_block does
+    not take.
+    """
+    index: dict[str, int] = {}
+    lines = _file_lines(fd, start, stop)
+    try:
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            done = len(index)
+            if (parsed := _parse_block(block, rows.shape[1], index)) is None:
+                return None
+            rows[done:len(index)] = parsed
+    except ValueError:
+        return None
+    return list(index) if len(index) == len(rows) else None
+
+
+def _forked_load(fd: int) -> EmbeddingSet | None:
+    """The set in the file open as `fd`, parsed in contiguous ranges of
+    whole lines, one per usable CPU and each at least _PARSE_BYTES long,
+    that _in_ranges runs in this process and in forked children: each range
+    parses its rows into one shared matrix and writes its tokens to the
+    caller. Every process reads with pread, which leaves the file offset
+    that they share where it was.
+
+    None, and the caller parses the text in one process, when there would
+    be one range only, the first line holds no component or a "count dim"
+    header, the first lines or a range are not clean (_parse_text), a token
+    repeats across ranges, or a fork or a child fails; none of these writes
+    to stderr.
+    """
+    size = os.fstat(fd).st_size
+    count = min(_usable_cpus(), size // _PARSE_BYTES)
+    if count < 2:
+        return None
+    head = _file_lines(fd, 0, size)
+    try:
+        line, second = next(head, ""), next(head, "")
+    except ValueError:
+        return None
+    dim = line.rstrip().count(" ")
+    if not dim or (second and _is_header(line, second)):
+        return None
+    cuts = sorted({0, size} | {_line_end(fd, size * i // count, size) for i in range(1, count)})
+    bounds = [0]
+    for start, stop in zip(cuts, cuts[1:]):
+        bounds.append(bounds[-1] + _newlines(fd, start, stop))
+    bounds[-1] += os.pread(fd, 1, size - 1) != b"\n"
+    cut_at = dict(zip(bounds, cuts))
+    vectors = np.frombuffer(mmap.mmap(-1, bounds[-1] * dim * 8)).reshape(bounds[-1], dim)
+
+    def work(start: int, stop: int, out: IO[str]) -> None:
+        # A range that runs short of memory or disk writes too few tokens.
+        with contextlib.suppress(MemoryError, OSError):
+            tokens = _parse_text(fd, cut_at[start], cut_at[stop], vectors[start:stop])
+            if tokens is not None:
+                out.write("".join(token + "\n" for token in tokens))
+
+    sink = io.StringIO()
+    try:
+        _in_ranges(work, bounds, sink, "parsing embedding text")
+    except OSError:
+        return None
+    words = sink.getvalue().split("\n")[:-1]
+    index = dict(zip(words, range(len(words))))
+    if len(index) != len(words) or len(words) != len(vectors):
+        return None
+    return EmbeddingSet._owning(tuple(words), vectors, index)
+
+
 def load_embeddings(source: LineSource, max_words: int | None = None) -> EmbeddingSet:
     """Parse an embedding file or text stream; dimension is inferred from the first row.
 
@@ -230,7 +376,17 @@ def load_embeddings(source: LineSource, max_words: int | None = None) -> Embeddi
     is ignored. Rows are parsed in fixed blocks into one growing matrix; a
     block that numpy's C parser cannot take is read line by line, so a
     ParseError names the first bad line and Python's float forms (1_0) load.
+
+    Without `max_words`, a file is first offered to _forked_load, which
+    returns the same set or leaves the parse to this one-process path.
     """
+    if max_words is None and (fd := _text_file(source)) is not None:
+        try:
+            loaded = _forked_load(fd)
+        finally:
+            os.close(fd)
+        if loaded is not None:
+            return loaded
     lines = _lines(source)
     head = list(itertools.islice(lines, 2))
     first = 2 if len(head) == 2 and _is_header(*head) else 1  # the next block's first line
@@ -406,8 +562,13 @@ def _write_range(embeddings: EmbeddingSet, start: int, stop: int, sink: IO[str])
         sink.write("".join(rows))
 
 
+def _usable_cpus() -> int:
+    """The CPUs that this process may run on, as os.sched_getaffinity reports."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _in_ranges(work: Callable[[int, int, IO[str]], None], bounds: Sequence[int],
-               sink: IO[str]) -> None:
+               sink: IO[str], stage: str) -> None:
     """Call work(start, stop, out) for each range bounds[i]:bounds[i + 1], so
     that `sink` receives what the calls would write to it in order.
 
@@ -420,15 +581,22 @@ def _in_ranges(work: Callable[[int, int, IO[str]], None], bounds: Sequence[int],
     the platform cannot fork, or another Python thread is alive (a child
     would hold that thread's locks forever), this process calls work once,
     over the union bounds[0]:bounds[-1], which must write what the ranges do.
+    Every failure text names the `stage`, such as "formatting embedding
+    rows", and the rows of the range that failed; a failed fork raises its
+    own OSError type and errno with that text.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         bounds = [bounds[0], bounds[-1]]
-    children: list[tuple[int, IO[str]]] = []  # forked and not yet reaped, in row order
+    children: list[tuple[int, IO[str], str]] = []  # forked and not yet reaped, in row order
     with contextlib.ExitStack() as spools:
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
+                failed = f"a process {stage} failed on rows {start}-{stop}"
                 spool = spools.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    raise type(exc)(exc.errno, f"forking {failed}: {exc.strerror}") from exc
                 if not pid:
                     code = 1
                     try:
@@ -436,22 +604,20 @@ def _in_ranges(work: Callable[[int, int, IO[str]], None], bounds: Sequence[int],
                         spool.flush()
                         code = 0
                     except BaseException as exc:  # the child ends here whatever was raised
-                        os.write(2, f"fairvec: writing rows {start}-{stop} failed: "
-                                    f"{exc!r}\n".encode())
+                        os.write(2, f"fairvec: {failed}: {exc!r}\n".encode())
                     finally:
                         os._exit(code)
-                children.append((pid, spool))
+                children.append((pid, spool, failed))
             work(bounds[0], bounds[1], sink)
             while children:
                 status = os.waitpid(children[0][0], 0)[1]
-                spool = children.pop(0)[1]
+                _, spool, failed = children.pop(0)
                 if status:
-                    raise OSError("a process formatting embedding rows failed "
-                                  f"(exit code {os.waitstatus_to_exitcode(status)})")
+                    raise OSError(f"{failed} (exit code {os.waitstatus_to_exitcode(status)})")
                 spool.seek(0)
                 shutil.copyfileobj(spool, sink, 1 << 20)
         finally:
-            for pid, _ in children:
+            for pid, _, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -471,10 +637,10 @@ def save_embeddings(embeddings: EmbeddingSet, sink: IO[str]) -> None:
     """
     n, step = len(embeddings), _write_rows(embeddings.dim)
     blocks = -(-n // step)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    count = max(1, min(cpus, blocks // 2))
+    count = max(1, min(_usable_cpus(), blocks // 2))
     bounds = [step * (blocks * i // count) for i in range(count)] + [n]
-    _in_ranges(lambda start, stop, out: _write_range(embeddings, start, stop, out), bounds, sink)
+    _in_ranges(lambda start, stop, out: _write_range(embeddings, start, stop, out), bounds, sink,
+               "formatting embedding rows")
 
 
 def _save_binary(embeddings: EmbeddingSet, text_sha256: str, sink: IO[bytes],

@@ -123,6 +123,16 @@ def forks(monkeypatch):
     return forked
 
 
+@pytest.fixture
+def parse_forks(forks, monkeypatch):
+    """As `forks`, with parse ranges of at least 16 bytes, so that a load of
+    a few rows forks too."""
+    from fairvec import embedding_store
+
+    monkeypatch.setattr(embedding_store, "_PARSE_BYTES", 16)
+    return forks
+
+
 def assert_no_child_left():
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import hashlib
 import io
 import json
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -376,6 +378,23 @@ class TestDebiasCommand:
         if open_files:
             assert len(os.listdir("/proc/self/fd")) == open_files
         assert forks
+        assert_no_child_left()
+
+    def test_failed_fork_names_the_writer_and_leaves_nothing(self, workdir, monkeypatch, forks,
+                                                            capfd):
+        # As under a process-count limit: the error names the stage and rows.
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = sorted(workdir["dir"].iterdir())
+        code = main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
+                     "--out", str(workdir["dir"] / "failed.txt")])
+        assert code == 2
+        assert re.fullmatch(
+            rf"error: \[Errno {errno.EAGAIN}\] forking a process formatting embedding rows "
+            rf"failed on rows \d+-\d+: {os.strerror(errno.EAGAIN)}\n", capfd.readouterr().err)
+        assert sorted(workdir["dir"].iterdir()) == before
         assert_no_child_left()
 
 
@@ -817,6 +836,31 @@ class TestLoadThreads:
         assert main(["debias", "--embeddings", workdir["emb"], "--gender-list", workdir["gender"],
                      "--out", str(workdir["dir"] / "forked.txt")]) == 0
         assert forks
+        assert_no_child_left()
+
+    def test_eval_of_an_original_forks_its_parse_after_the_hash(self, workdir, monkeypatch,
+                                                                parse_forks):
+        # No copy holds emb.txt, so the eval parses its text: in four ranges,
+        # forked once the hash thread is joined, with the report of one process.
+        threads_at_fork = []
+        counting_fork = os.fork
+
+        def fork():
+            threads_at_fork.append(threading.active_count())
+            return counting_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        reports = []
+        for cpus in ({0, 1, 2, 3}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = workdir["dir"] / f"quality{len(cpus)}.json"
+            assert main(["eval", "--embeddings", workdir["emb"], "--metrics", "quality",
+                         "--label", "x", "--wordsim", f"toy={workdir['wordsim']}",
+                         "--sts", f"2015/planted={workdir['sts']}", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert len(parse_forks) == 3
+        assert threads_at_fork == [1, 1, 1]
+        assert reports[0] == reports[1]
         assert_no_child_left()
 
 

@@ -587,6 +587,315 @@ class TestSaveFanOut:
         assert forks == []
 
 
+def outcome(load):
+    """("set", words, vector bytes) of a load, or ("error", text) of its ParseError."""
+    try:
+        loaded = load()
+    except ParseError as exc:
+        return "error", str(exc)
+    return "set", loaded.words, loaded.vectors.shape, loaded.vectors.tobytes()
+
+
+def refused_lines(source):
+    """In place of embedding_store._lines: fails a load that reaches the
+    one-process path, which alone reads lines."""
+    raise AssertionError("parsed in one process")
+
+
+@pytest.fixture
+def no_serial_parse(monkeypatch):
+    monkeypatch.setattr(embedding_store, "_lines", refused_lines)
+
+
+def clean_rows(n_rows: int, dim: int = 3) -> list[str]:
+    # Tokens hold multi-byte UTF-8 and characters that str.splitlines, but
+    # not a text file, takes for line breaks; values vary in length.
+    rng = np.random.default_rng(n_rows)
+    heads = ("café", "日本", "a\u2028b", "x\x85y", "f\x0cg", "w")
+    return [" ".join([heads[i % len(heads)] + str(i),
+                      *(("%.17g", "%.6f", "%g")[i % 3] % v for v in rng.normal(size=dim))])
+            for i in range(n_rows)]
+
+
+class TestForkedLoad:
+    @pytest.mark.parametrize("n_rows", [2, 3, 4, 5, 9, 40])
+    @pytest.mark.parametrize("last", ["\n", ""])
+    def test_same_words_and_bits_as_one_process(self, parse_forks, monkeypatch, tmp_path,
+                                                n_rows, last):
+        path = tmp_path / "e.txt"
+        path.write_bytes(("\n".join(clean_rows(n_rows)) + last).encode("utf-8"))
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding_store, "_lines", refused_lines)
+            forked = outcome(lambda: load_embeddings(path))
+        # Four CPUs: the file splits at the first line break after each quarter.
+        data = path.read_bytes()
+        size = len(data)
+        assert size >= 4 * embedding_store._PARSE_BYTES
+        cuts = {0, size} | {data.find(b"\n", size * i // 4) + 1 or size for i in (1, 2, 3)}
+        assert len(parse_forks) == len(cuts) - 2 > 0
+        assert_no_child_left()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert forked == outcome(lambda: load_embeddings(path))
+        assert len(parse_forks) == len(cuts) - 2
+
+    def test_lines_longer_than_one_read(self, parse_forks, monkeypatch, tmp_path):
+        # Rows of about 150 KB span several 64 KiB reads, at a cut and within a range.
+        path = tmp_path / "e.txt"
+        path.write_text("\n".join(clean_rows(6, dim=12000)), encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding_store, "_lines", refused_lines)
+            forked = outcome(lambda: load_embeddings(path))
+        assert len(parse_forks) == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert forked == outcome(lambda: load_embeddings(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(embedding_texts())
+    def test_same_set_or_error_as_one_process(self, tmp_path_factory, case):
+        # Every fallback trigger the strategy draws (a "\r", a header, a
+        # separator, a value or row the C parser rejects, a duplicate) gives
+        # what one process gives.
+        text, max_words, block = case
+        path = tmp_path_factory.mktemp("forked") / "e.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding_store, "_BLOCK_ROWS", block)
+            patch.setattr(embedding_store, "_PARSE_BYTES", 16)
+            results = []
+            for cpus in ({0, 1, 2, 3}, {0}):
+                patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                results.append(outcome(lambda: load_embeddings(path, max_words=max_words)))
+        assert results[0] == results[1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("trigger", [
+        "crlf", "cr inside a row", "cr ending a token", "cr ending one row", "header",
+        "separator", "not utf-8", "python float", "non-numeric", "non-finite",
+        "duplicate across ranges", "duplicate in a range", "blank line", "short row",
+        "token only", "max_words"])
+    def test_fallback_gives_what_one_process_gives(self, parse_forks, monkeypatch, capfd,
+                                                   tmp_path, trigger):
+        rows = clean_rows(40)
+        row = rows[30].split(" ")
+        edit = {
+            "cr inside a row": lambda: rows.__setitem__(30, " ".join(row[:2]) + "\r" + row[2]),
+            "cr ending a token": lambda: rows.__setitem__(30, row[0] + "\r " + " ".join(row[1:])),
+            "cr ending one row": lambda: rows.__setitem__(30, rows[30] + "\r"),
+            "header": lambda: rows.insert(0, "40 3"),
+            "separator": lambda: rows.__setitem__(30, rows[30] + "\x1c"),
+            "python float": lambda: rows.__setitem__(30, " ".join(row[:2] + ["1_0", row[3]])),
+            "non-numeric": lambda: rows.__setitem__(30, " ".join(row[:3] + ["x"])),
+            "non-finite": lambda: rows.__setitem__(30, " ".join(row[:3] + ["inf"])),
+            "duplicate across ranges": lambda: rows.__setitem__(35, rows[2]),
+            "duplicate in a range": lambda: rows.__setitem__(36, rows[35]),
+            "blank line": lambda: rows.__setitem__(30, ""),
+            "short row": lambda: rows.__setitem__(30, " ".join(row[:3])),
+            "token only": lambda: rows.__setitem__(0, "alone"),
+        }.get(trigger)
+        if edit:
+            edit()
+        data = "".join(r + ("\r\n" if trigger == "crlf" else "\n") for r in rows).encode("utf-8")
+        if trigger == "not utf-8":
+            data = data.replace(rows[30].encode("utf-8"), b"\xff" + rows[30].encode("utf-8"))
+        path = tmp_path / "e.txt"
+        path.write_bytes(data)
+        max_words = 39 if trigger == "max_words" else None
+        forked = outcome(lambda: load_embeddings(path, max_words=max_words))
+        assert_no_child_left()
+        assert capfd.readouterr().err == ""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert forked == outcome(lambda: load_embeddings(path, max_words=max_words))
+        assert (forked[0] == "error") == (trigger not in (
+            "crlf", "cr ending one row", "header", "separator", "python float", "max_words"))
+        if trigger in ("crlf", "header", "token only", "max_words"):
+            assert parse_forks == []  # refused before any fork
+
+    def test_one_range_per_cpu_and_none_below_the_least_size(self, forks, monkeypatch,
+                                                             tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("".join(row + "\n" for row in clean_rows(40)), encoding="utf-8")
+        size = path.stat().st_size
+        expected = outcome(lambda: load_embeddings(path))
+        # Eight CPUs run more processes than this machine may have cores.
+        for cpus, least, children in [({0, 1, 2, 3}, 16, 3), (set(range(8)), 16, 7),
+                                      ({0, 1}, 16, 1), ({0}, 16, 0),
+                                      ({0, 1, 2, 3}, size // 3, 2), ({0, 1}, size // 2, 1),
+                                      ({0, 1}, size // 2 + 1, 0)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            monkeypatch.setattr(embedding_store, "_PARSE_BYTES", least)
+            forks.clear()
+            assert outcome(lambda: load_embeddings(path)) == expected
+            assert len(forks) == children, (cpus, least)
+
+    @pytest.mark.parametrize("source", ["str", "Path", "handle"])
+    def test_path_or_handle_at_its_start_forks(self, parse_forks, no_serial_parse, tmp_path,
+                                               source):
+        path = tmp_path / "e.txt"
+        path.write_text("".join(row + "\n" for row in clean_rows(40)), encoding="utf-8")
+        if source == "handle":
+            with open(path, encoding="utf-8") as handle:
+                loaded = load_embeddings(handle)
+        else:
+            loaded = load_embeddings(str(path) if source == "str" else path)
+        assert len(loaded) == 40
+        assert len(parse_forks) == 3
+
+    @pytest.mark.parametrize("source", ["moved handle", "latin-1 handle", "no descriptor",
+                                        "StringIO", "lines", "fifo"])
+    def test_any_other_source_parsed_in_one_process(self, parse_forks, tmp_path, source):
+        rows = clean_rows(40)
+        path = tmp_path / "e.txt"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        expected = load_text("".join(row + "\n" for row in rows[1:]))
+        if source == "moved handle":
+            with open(path, encoding="utf-8") as handle:
+                handle.readline()
+                loaded = load_embeddings(handle)
+        elif source == "latin-1 handle":
+            path.write_text("".join(row + "\n" for row in rows[1:]), encoding="utf-8")
+            with open(path, encoding="latin-1") as handle:
+                loaded = load_embeddings(handle)
+            expected = load_text(path.read_bytes().decode("latin-1"))
+        elif source == "no descriptor":
+            text = "".join(row + "\n" for row in rows[1:]).encode("utf-8")
+            loaded = load_embeddings(io.TextIOWrapper(io.BytesIO(text), encoding="utf-8"))
+        elif source == "StringIO":
+            loaded = load_text("".join(row + "\n" for row in rows[1:]))
+        elif source == "lines":
+            loaded = load_embeddings([row + "\n" for row in rows[1:]])
+        else:
+            fifo = tmp_path / "fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_text,
+                                      args=("".join(row + "\n" for row in rows[1:]),))
+            writer.start()
+            loaded = load_embeddings(fifo)
+            writer.join(timeout=10)
+        assert (loaded.words, loaded.vectors.tobytes()) == (expected.words,
+                                                            expected.vectors.tobytes())
+        assert parse_forks == []
+
+    def test_no_fork_while_another_thread_runs(self, parse_forks, no_serial_parse, tmp_path):
+        # _in_ranges runs the union of the ranges here, still off the one-process path.
+        path = tmp_path / "e.txt"
+        path.write_text("".join(row + "\n" for row in clean_rows(40)), encoding="utf-8")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            loaded = load_embeddings(path)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert len(loaded) == 40
+        assert parse_forks == []
+
+    @pytest.mark.parametrize("failure", ["killed", "MemoryError", "disk full"])
+    def test_a_failed_child_leaves_nothing_and_one_process_parses(
+            self, parse_forks, monkeypatch, capfd, tmp_path, failure):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        path = tmp_path / "e.txt"
+        path.write_text("".join(row + "\n" for row in clean_rows(40)), encoding="utf-8")
+        expected = outcome(lambda: load_embeddings(path, max_words=40))
+        parent = os.getpid()
+        real_parse_text = embedding_store._parse_text
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("planted") if failure == "MemoryError" else OSError(
+                    errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_parse_text(*args)
+
+        monkeypatch.setattr(embedding_store, "_parse_text", failing_in_children)
+        open_files = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+        assert outcome(lambda: load_embeddings(path)) == expected
+        assert len(parse_forks) == 3
+        assert_no_child_left()
+        assert list(spool.iterdir()) == []
+        assert capfd.readouterr().err == ""
+        if open_files:
+            assert len(os.listdir("/proc/self/fd")) == open_files
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_a_failed_fork_leaves_nothing_and_one_process_parses(
+            self, parse_forks, monkeypatch, capfd, tmp_path, failing):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        path = tmp_path / "e.txt"
+        path.write_text("".join(row + "\n" for row in clean_rows(40)), encoding="utf-8")
+        expected = outcome(lambda: load_embeddings(path, max_words=40))
+        counting_fork, real_kill = os.fork, os.kill
+        children, killed = [], []
+
+        def fork():
+            if len(parse_forks) + 1 == failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = counting_fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def recording_kill(pid, sig):
+            killed.append((pid, sig))
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "kill", recording_kill)
+        open_files = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+        assert outcome(lambda: load_embeddings(path)) == expected
+        assert len(children) == failing - 1
+        assert killed == [(pid, signal.SIGKILL) for pid in children]
+        assert_no_child_left()
+        assert list(spool.iterdir()) == []
+        assert capfd.readouterr().err == ""
+        if open_files:
+            assert len(os.listdir("/proc/self/fd")) == open_files
+
+
+class TestRangeFailureTexts:
+    def test_a_failed_child_names_the_stage_and_rows(self, forks, monkeypatch, capfd):
+        parent = os.getpid()
+        real_text_rows = embedding_store._text_rows
+
+        def failing_in_children(words, vectors):
+            if os.getpid() != parent:
+                raise MemoryError("planted")
+            return real_text_rows(words, vectors)
+
+        monkeypatch.setattr(embedding_store, "_text_rows", failing_in_children)
+        block = embedding_store._write_rows(4)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(20 * block)),
+                                  np.ones((20 * block, 4)))
+        with pytest.raises(OSError) as raised:
+            saved_text(embeddings)
+        assert str(raised.value) == (f"a process formatting embedding rows failed on rows "
+                                     f"{5 * block}-{10 * block} (exit code 1)")
+        assert (f"fairvec: a process formatting embedding rows failed on rows "
+                f"{5 * block}-{10 * block}: MemoryError('planted')") in capfd.readouterr().err
+        assert_no_child_left()
+
+    def test_a_failed_fork_keeps_its_type_and_names_the_stage_and_rows(self, forks,
+                                                                       monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        block = embedding_store._write_rows(4)
+        embeddings = EmbeddingSet(tuple(f"w{i}" for i in range(20 * block)),
+                                  np.ones((20 * block, 4)))
+        with pytest.raises(BlockingIOError) as raised:
+            saved_text(embeddings)
+        assert raised.value.errno == errno.EAGAIN
+        assert str(raised.value) == (
+            f"[Errno {errno.EAGAIN}] forking a process formatting embedding rows failed on rows "
+            f"{5 * block}-{10 * block}: {os.strerror(errno.EAGAIN)}")
+
+
 class TestEmbeddingSet:
     @pytest.mark.parametrize("word", ["a b", " ", "a\nb", "end\n", "a\rb", "\r\n"])
     def test_word_with_space_or_line_break_rejected(self, word):

@@ -425,3 +425,53 @@ def test_forked_writers_leave_the_trace_to_the_parent(tmp_path):
     assert names.count("cli.main") == 1
     assert names.count("embedding_store.save_embeddings") == 1
     assert trace["counters"]["embedding_store.save_embeddings.bytes"] == os.path.getsize(out)
+
+
+def test_forked_parse_leaves_the_trace_to_the_parent(tmp_path):
+    # A traced debias whose parse forks: the parent's load_embeddings span
+    # sizes the whole file once, and the children, which leave through
+    # os._exit, write no spans. Two usable CPUs and 4 KiB parse ranges give
+    # one parse child and one writer child.
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import numpy as np
+    from conftest import write_embedding_file
+    from fairvec import EmbeddingSet
+
+    rng = np.random.default_rng(10)
+    words = ("he", "she", "café") + tuple(f"w{i}" for i in range(597))
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, EmbeddingSet(words, rng.normal(size=(600, 300))))
+    gender = tmp_path / "gender.txt"
+    gender.write_text("he\nshe\n")
+    out, spans_json = tmp_path / "hsr.txt", tmp_path / "spans.json"
+    runner = "\n".join([
+        "import os, runpy, sys",
+        "import fairvec.embedding_store",
+        "fairvec.embedding_store._PARSE_BYTES = 4096",
+        "real_fork = os.fork",
+        "def announced_fork():",
+        "    print('fork', file=sys.stderr, flush=True)",
+        "    return real_fork()",
+        "os.fork = announced_fork",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        f"runpy.run_path({str(SPANS)!r}, run_name='__main__')",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", runner, str(spans_json), "--", "debias", "--embeddings", str(emb),
+         "--gender-list", str(gender), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SPANS.parent.parent / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines().count("fork") == 2
+
+    with open(spans_json, encoding="utf-8") as handle:
+        trace = json.load(handle)
+    names = [span[0] for span in trace["spans"]]
+    assert names.count("cli.main") == 1
+    assert names.count("embedding_store.load_embeddings") == 1
+    assert trace["counters"]["embedding_store.load_embeddings.rows"] == 600
+    assert trace["counters"]["embedding_store.load_embeddings.bytes"] == os.path.getsize(emb)
